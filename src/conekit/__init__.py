@@ -1,13 +1,12 @@
 """conekit: support cones of convex bodies, their congruence over O(3),
 symmetry detection, and sphere-verdict scene verification."""
 
-from .config import CongruenceConfig, HarnessConfig
+from .config import HarnessConfig
 from .errors import (
     ApexInsideBodyError,
     ConeKitError,
     FrameSingularityError,
     IndeterminateIndexError,
-    NonConvergentError,
     RankDeficientError,
     SceneInvalidError,
 )

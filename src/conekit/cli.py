@@ -17,12 +17,13 @@ import sys
 import numpy as np
 
 from .congruence import congruence_distance, pairwise_congruence_matrix
-from .errors import ConeKitError, NonConvergentError, SceneInvalidError
+from .errors import ConeKitError, SceneInvalidError
 from .geom import read_off
 from .harness import (
     cone_to_dict,
     load_scene,
     matrix_to_csv,
+    motion_to_dict,
     report_to_dict,
     scene_cones,
     symmetry_report_to_dict,
@@ -81,20 +82,20 @@ def _cmd_match(args) -> int:
     tol = cfg.resolve_tol(sampled)
     if args.pairs != "all":
         i, j = (int(t) for t in args.pairs.split(","))
-        res = congruence_distance(cones[i], cones[j], cfg.congruence, tol)
+        res = congruence_distance(cones[i], cones[j], tol)
         _dump(
             {
                 "pair": [i, j],
                 "distance": res.distance,
                 "congruent": res.congruent,
                 "tol": res.tol,
-                "witness": {"omega": res.witness.omega.tolist(), "a": res.witness.a.tolist()},
-                "config": cfg.echo(),
+                "witness": motion_to_dict(res.witness),
+                "config": dataclasses.asdict(cfg),
             },
             args.out,
         )
         return EXIT_OK
-    pw = pairwise_congruence_matrix(cones, cfg.congruence, tol, jobs=cfg.jobs)
+    pw = pairwise_congruence_matrix(cones, tol, jobs=cfg.jobs)
     if args.format == "csv":
         csv = matrix_to_csv(pw.matrix)
         if args.out:
@@ -110,12 +111,11 @@ def _cmd_match(args) -> int:
                     f"{i},{j}": {
                         "distance": res.distance,
                         "congruent": res.congruent,
-                        "omega": res.witness.omega.tolist(),
-                        "a": res.witness.a.tolist(),
+                        **motion_to_dict(res.witness),
                     }
                     for (i, j), res in sorted(pw.results.items())
                 },
-                "config": cfg.echo(),
+                "config": dataclasses.asdict(cfg),
             },
             args.out,
         )
@@ -240,9 +240,6 @@ def main(argv=None) -> int:
     except SceneInvalidError as exc:
         print(f"scene invalid: {exc}", file=sys.stderr)
         return EXIT_SCENE_INVALID
-    except NonConvergentError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ConeKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

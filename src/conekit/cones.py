@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .config import APEX_MARGIN, EPS_GEO, EPS_ORTHO
 from .errors import ApexInsideBodyError
@@ -51,6 +50,8 @@ def _salient_witness(dirs: np.ndarray, hint: np.ndarray | None = None) -> np.nda
             continue
         if float(np.min(dirs @ w)) > EPS_GEO:
             return w
+    from scipy.optimize import linprog  # rarely reached; keeps import time down
+
     n = len(dirs)
     res = linprog(
         c=np.array([0.0, 0.0, 0.0, -1.0]),
@@ -71,10 +72,10 @@ def _salient_witness(dirs: np.ndarray, hint: np.ndarray | None = None) -> np.nda
 
 
 def _dedupe_directions(dirs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    keep: list[int] = []
-    for i, d in enumerate(dirs):
-        if not keep or np.min(np.linalg.norm(dirs[keep] - d, axis=1)) > tol:
-            keep.append(i)
+    """Drop every direction within ``tol`` of an earlier one."""
+    pairs = cKDTree(dirs).query_pairs(tol, output_type="ndarray")  # i < j
+    keep = np.ones(len(dirs), dtype=bool)
+    keep[pairs[:, 1]] = False
     return dirs[keep]
 
 

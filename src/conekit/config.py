@@ -1,4 +1,4 @@
-"""Tolerance constants and run-configuration dataclasses.
+"""Tolerance and search constants, and the scene configuration dataclass.
 
 Every numeric threshold used by the geometry lives here, so predicates in
 different modules agree on what "equal" means.  All geometry is plain
@@ -7,7 +7,7 @@ different modules agree on what "equal" means.  All geometry is plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Geometric predicate tolerance: salience margins, extremeness tests,
 #: membership tests.
@@ -35,39 +35,34 @@ TOL_POLYHEDRAL = 1e-6
 TOL_SAMPLED = 1e-3
 
 
-@dataclass(frozen=True)
-class CongruenceConfig:
-    """Knobs for the registration search over O(3).
+#: Registration search over O(3).  After canonical-axis alignment a planar
+#: rotation grid of GRID_STEPS steps (plus the reflected branch) is scored on
+#: at most GRID_MAX_RAYS cyclically decimated rays; the GRID_TOP_CANDIDATES
+#: best local maxima per branch are polished.
+GRID_STEPS = 720
+GRID_MAX_RAYS = 24
+GRID_TOP_CANDIDATES = 2
 
-    The defaults implement: canonical-axis alignment, a 720-step planar
-    rotation grid (plus the reflected branch), local refinement by
-    orthogonal-Procrustes iteration on nearest-neighbour correspondences,
-    and a 60-seed orientation multistart reserved for cones whose canonical
-    axis is numerically unreliable.
-    """
+#: Orthogonal-Procrustes polish: every candidate gets POLISH_ITER iterations,
+#: the winner runs to ICP_CONVERGED (max entry change) or ICP_MAX_ITER.
+POLISH_ITER = 8
+ICP_MAX_ITER = 100
+ICP_CONVERGED = 1e-12
 
-    tol_polyhedral: float = TOL_POLYHEDRAL
-    tol_sampled: float = TOL_SAMPLED
-    # planar-rotation grid resolution after axis alignment
-    grid_steps: int = 720
-    # cyclic decimation cap for the grid stage; refinement uses all rays
-    grid_max_rays: int = 24
-    # grid candidates kept per branch (rotation / reflection) for refinement
-    top_candidates: int = 2
-    icp_max_iter: int = 100
-    icp_converged: float = 1e-12
-    # orientation seeds used when a canonical axis is unreliable
-    multistart_seeds: int = 60
-    # canonical-axis quality below this triggers the multistart fallback
-    axis_quality_floor: float = 0.05
-    # boundary angular spread under which a cone counts as an exact circle;
-    # the planar grid is then redundant (every planar rotation is a symmetry)
-    fast_circular_spread: float = 1e-9
-    # witness-limit probe: trailing window size and Cauchy threshold
-    probe_window: int = 5
-    probe_cauchy_tol: float = 1e-6
-    # Frobenius gap above which two limit witnesses count as distinct
-    probe_differ_tol: float = 1e-3
+#: Orientation multistart (icosahedral rotations and their negatives) for
+#: cones whose canonical-axis quality is below AXIS_QUALITY_FLOOR.
+MULTISTART_SEEDS = 60
+AXIS_QUALITY_FLOOR = 0.05
+
+#: Boundary angular spread under which a cone counts as an exact circle;
+#: the planar grid is then redundant (every planar rotation is a symmetry).
+CIRCLE_SPREAD = 1e-9
+
+#: Witness-limit probe: trailing window size, Cauchy threshold, and the
+#: Frobenius gap above which two limit witnesses count as distinct.
+PROBE_WINDOW = 5
+PROBE_CAUCHY_TOL = 1e-6
+PROBE_DIFFER_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -85,41 +80,13 @@ class HarnessConfig:
     witness_threshold: float | None = None
     samples_per_cone: int = 256
     jobs: int = 1
-    # icosphere frequency of the coverage grid used for the eta statistic
-    coverage_frequency: int = 3
-    congruence: CongruenceConfig = field(default_factory=CongruenceConfig)
 
     def resolve_tol(self, sampled: bool) -> float:
         if self.tol is not None:
             return self.tol
-        return self.congruence.tol_sampled if sampled else self.congruence.tol_polyhedral
+        return TOL_SAMPLED if sampled else TOL_POLYHEDRAL
 
     def resolve_witness_threshold(self, sampled: bool) -> float:
         if self.witness_threshold is not None:
             return self.witness_threshold
         return 10.0 * self.resolve_tol(sampled)
-
-    def echo(self) -> dict:
-        """Configuration block for report serialization."""
-        return {
-            "tol": self.tol,
-            "witness_threshold": self.witness_threshold,
-            "samples_per_cone": self.samples_per_cone,
-            "jobs": self.jobs,
-            "coverage_frequency": self.coverage_frequency,
-            "congruence": {
-                "tol_polyhedral": self.congruence.tol_polyhedral,
-                "tol_sampled": self.congruence.tol_sampled,
-                "grid_steps": self.congruence.grid_steps,
-                "grid_max_rays": self.congruence.grid_max_rays,
-                "top_candidates": self.congruence.top_candidates,
-                "icp_max_iter": self.congruence.icp_max_iter,
-                "icp_converged": self.congruence.icp_converged,
-                "multistart_seeds": self.congruence.multistart_seeds,
-                "axis_quality_floor": self.congruence.axis_quality_floor,
-                "fast_circular_spread": self.congruence.fast_circular_spread,
-                "probe_window": self.congruence.probe_window,
-                "probe_cauchy_tol": self.congruence.probe_cauchy_tol,
-                "probe_differ_tol": self.congruence.probe_differ_tol,
-            },
-        }

@@ -9,9 +9,10 @@ verdict is that residual thresholded.
 Search strategy: align canonical axes, sweep a planar rotation grid about
 the common axis (with a reflected branch for the improper component of
 O(3)), then polish the best grid candidates with an orthogonal-Procrustes
-iteration on symmetrized nearest-neighbour correspondences.  Cones whose
-boundary is an exact circle skip the grid: every planar rotation is a
-symmetry, so axis alignment alone lands in the optimal basin.
+iteration on symmetrized nearest-neighbour correspondences.  Pairs of
+exact circles with equal ray counts skip the grid: every planar rotation
+by a ray step is a symmetry, so phase alignment alone lands in the optimal
+basin.  The search constants live in ``conekit.config``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,22 @@ import numpy as np
 from scipy.linalg import polar
 from scipy.spatial.distance import cdist
 
-from .config import CongruenceConfig
+from .config import (
+    AXIS_QUALITY_FLOOR,
+    CIRCLE_SPREAD,
+    GRID_MAX_RAYS,
+    GRID_STEPS,
+    GRID_TOP_CANDIDATES,
+    ICP_CONVERGED,
+    ICP_MAX_ITER,
+    MULTISTART_SEEDS,
+    POLISH_ITER,
+    PROBE_CAUCHY_TOL,
+    PROBE_DIFFER_TOL,
+    PROBE_WINDOW,
+    TOL_POLYHEDRAL,
+    TOL_SAMPLED,
+)
 from .cones import SupportCone, canonical_axis
 from .errors import RankDeficientError
 from .geom import (
@@ -107,14 +123,14 @@ def _icosahedral_rotations() -> tuple[np.ndarray, ...]:
     return tuple(np.round(e, 15) for e in elems)
 
 
-def _uniform_circle(cone: SupportCone, spread_tol: float) -> bool:
+def _uniform_circle(cone: SupportCone) -> bool:
     """Whether the extreme rays lie on a common circle about the canonical
     axis at uniform angular spacing.  For such cones every planar rotation
     by a ray step is a symmetry of the ray set, so the planar grid is
     redundant and phase alignment alone finds the optimal basin."""
     axis = canonical_axis(cone)
     ang = np.arccos(np.clip(cone.rays @ axis, -1.0, 1.0))
-    if float(ang.max() - ang.min()) > spread_tol:
+    if float(ang.max() - ang.min()) > CIRCLE_SPREAD:
         return False
     f1, f2 = orthonormal_basis(axis)
     theta = np.sort(np.arctan2(cone.rays @ f2, cone.rays @ f1))
@@ -166,14 +182,14 @@ def _tangent_anchor(rays: np.ndarray, axis: np.ndarray) -> np.ndarray | None:
     return t / np.linalg.norm(t)
 
 
-def _aligned_frames(rays1, rays2, ax1, ax2):
+def _aligned_frames(ax1, t1, ax2, t2):
     """Axis-aligning base rotation plus the in-plane phase frame at axis2.
 
-    Both are anchored to the cones' own geometry wherever possible, so the
-    whole candidate construction commutes with rigid motions of either
-    cone; that is what makes the reported distance motion-invariant."""
-    t1 = _tangent_anchor(rays1, ax1)
-    t2 = _tangent_anchor(rays2, ax2)
+    Both are anchored to the cones' own geometry (axes ``ax`` and tangent
+    anchors ``t``) wherever possible, so the whole candidate construction
+    commutes with rigid motions of either cone; that is what makes the
+    reported distance motion-invariant.  Without both anchors the frame
+    falls back to the minimal rotation, which is not equivariant."""
     if t1 is not None and t2 is not None:
         F1 = np.column_stack([ax1, t1, np.cross(ax1, t1)])
         F2 = np.column_stack([ax2, t2, np.cross(ax2, t2)])
@@ -189,18 +205,17 @@ def _grid_candidates(
     base: np.ndarray,
     f1: np.ndarray,
     f2: np.ndarray,
-    cfg: CongruenceConfig,
 ) -> list[np.ndarray]:
     """Candidates from the planar grid about axis2 applied after the
     axis-aligning base rotation, for both branches of O(3).  The best
     local maxima of the score curve are kept per branch, so distinct
     basins get distinct refinement seeds."""
-    P = _decimate_cyclic(rays1, cfg.grid_max_rays) @ base.T
-    Q = _decimate_cyclic(rays2, cfg.grid_max_rays)
+    P = _decimate_cyclic(rays1, GRID_MAX_RAYS) @ base.T
+    Q = _decimate_cyclic(rays2, GRID_MAX_RAYS)
     a, b, z = P @ f1, P @ f2, P @ axis2
     al, be, ze = Q @ f1, Q @ f2, Q @ axis2
     Z = np.outer(z, ze).astype(np.float32)
-    ts = 2.0 * np.pi * np.arange(cfg.grid_steps) / cfg.grid_steps
+    ts = 2.0 * np.pi * np.arange(GRID_STEPS) / GRID_STEPS
     cos_t = np.cos(ts)[:, None, None].astype(np.float32)
     sin_t = np.sin(ts)[:, None, None].astype(np.float32)
     refl = np.eye(3) - 2.0 * np.outer(f2, f2)  # mirror across plane(axis2, f1)
@@ -210,7 +225,7 @@ def _grid_candidates(
         C = (np.outer(a, al) + np.outer(bb, be)).astype(np.float32)
         S = (np.outer(a, be) - np.outer(bb, al)).astype(np.float32)
         scores = _hausdorff_sq_scores(cos_t * C + sin_t * S + Z)
-        for idx in _top_local_maxima(scores, cfg.top_candidates):
+        for idx in _top_local_maxima(scores, GRID_TOP_CANDIDATES):
             rot = rotation_matrix(axis2, float(ts[idx]))
             out.append(rot @ base if sign > 0 else rot @ refl @ base)
     return out
@@ -220,8 +235,7 @@ def _icp_refine(
     rays1: np.ndarray,
     rays2: np.ndarray,
     omega0: np.ndarray,
-    cfg: CongruenceConfig,
-    max_iter: int | None = None,
+    max_iter: int = ICP_MAX_ITER,
 ) -> tuple[float, np.ndarray]:
     """Polish a candidate by orthogonal Procrustes on the union of both
     directed nearest-neighbour matchings (symmetric in the two cones).
@@ -229,7 +243,7 @@ def _icp_refine(
     omega = omega0
     best_h = np.inf
     best_omega = omega0
-    for _ in range(max_iter if max_iter is not None else cfg.icp_max_iter):
+    for _ in range(max_iter):
         D = cdist(rays1 @ omega.T, rays2)
         h = max(D.min(axis=1).max(), D.min(axis=0).max())
         if h < best_h:
@@ -238,7 +252,7 @@ def _icp_refine(
         src = np.vstack([rays1, rays1[D.argmin(axis=0)]])
         dst = np.vstack([rays2[D.argmin(axis=1)], rays2])
         omega_new = _procrustes_matrix(src, dst)
-        if np.max(np.abs(omega_new - omega)) < cfg.icp_converged:
+        if np.max(np.abs(omega_new - omega)) < ICP_CONVERGED:
             break
         omega = omega_new
     D = cdist(rays1 @ omega.T, rays2)
@@ -256,7 +270,6 @@ def _phase_angle(vec: np.ndarray, axis: np.ndarray) -> float:
 def congruence_distance(
     c1: SupportCone,
     c2: SupportCone,
-    config: CongruenceConfig | None = None,
     tol: float | None = None,
 ) -> CongruenceResult:
     """Minimum over O(3) of the Hausdorff distance between the spherical
@@ -265,17 +278,16 @@ def congruence_distance(
     The verdict threshold defaults to the polyhedral tolerance, or the
     sampled tolerance when either cone was sampled from a smooth body.
     """
-    cfg = config or CongruenceConfig()
-    sampled = c1.is_sampled or c2.is_sampled
     if tol is None:
-        tol = cfg.tol_sampled if sampled else cfg.tol_polyhedral
+        tol = TOL_SAMPLED if c1.is_sampled or c2.is_sampled else TOL_POLYHEDRAL
     r1, r2 = c1.rays, c2.rays
     ax1, ax2 = canonical_axis(c1), canonical_axis(c2)
 
     candidates: list[np.ndarray]
-    if _uniform_circle(c1, cfg.fast_circular_spread) and _uniform_circle(c2, cfg.fast_circular_spread):
-        # exact circles: planar rotations are symmetries, only the phase of
-        # the sample points needs matching
+    if len(r1) == len(r2) and _uniform_circle(c1) and _uniform_circle(c2):
+        # exact circles with equal ray counts: planar rotations by a ray
+        # step are symmetries of both, only the phase of the sample points
+        # needs matching
         base = minimal_rotation(ax1, ax2)
         dt = _phase_angle(r2[0], ax2) - _phase_angle(base @ r1[0], ax2)
         rot = rotation_matrix(ax2, dt)
@@ -284,15 +296,18 @@ def congruence_distance(
         dt_r = _phase_angle(r2[0], ax2) - _phase_angle(refl @ base @ r1[0], ax2)
         candidates = [rot @ base, rotation_matrix(ax2, dt_r) @ refl @ base]
     else:
-        base, f1, f2 = _aligned_frames(r1, r2, ax1, ax2)
-        g1, g2 = _aligned_frames(r2, r1, ax2, ax1)[1:]
-        # the reversed problem's candidate grid is the exact transpose of
-        # this one; refining the union makes the distance symmetric in the
-        # two cones by construction
-        candidates = _grid_candidates(r1, r2, ax2, base, f1, f2, cfg)
-        candidates += [m.T for m in _grid_candidates(r2, r1, ax1, base.T, g1, g2, cfg)]
-        if min(c1.axis_quality, c2.axis_quality) < cfg.axis_quality_floor:
-            for rot in _icosahedral_rotations()[: cfg.multistart_seeds]:
+        t1, t2 = _tangent_anchor(r1, ax1), _tangent_anchor(r2, ax2)
+        base, f1, f2 = _aligned_frames(ax1, t1, ax2, t2)
+        candidates = _grid_candidates(r1, r2, ax2, base, f1, f2)
+        # Anchored frames are equivariant, so the reversed problem's grid is
+        # the exact transpose of this one and adds nothing.  The fallback
+        # frame is not; there the union with the reversed grid is what keeps
+        # d(c1, c2) = d(c2, c1).
+        if t1 is None or t2 is None:
+            g1, g2 = _aligned_frames(ax2, t2, ax1, t1)[1:]
+            candidates += [m.T for m in _grid_candidates(r2, r1, ax1, base.T, g1, g2)]
+        if min(c1.axis_quality, c2.axis_quality) < AXIS_QUALITY_FLOOR:
+            for rot in _icosahedral_rotations()[:MULTISTART_SEEDS]:
                 candidates.append(rot)
                 candidates.append(-rot)
 
@@ -300,10 +315,10 @@ def congruence_distance(
     best_h = np.inf
     best_omega = candidates[0]
     for cand in candidates:
-        h, om = _icp_refine(r1, r2, cand, cfg, max_iter=min(8, cfg.icp_max_iter))
+        h, om = _icp_refine(r1, r2, cand, max_iter=POLISH_ITER)
         if h < best_h:
             best_h, best_omega = h, om
-    h, om = _icp_refine(r1, r2, best_omega, cfg)
+    h, om = _icp_refine(r1, r2, best_omega)
     if h < best_h:
         best_h, best_omega = h, om
     best_omega, _ = polar(best_omega)  # snap accumulated round-off back onto O(3)
@@ -323,36 +338,34 @@ class PairwiseCongruence:
 
 
 def _pair_worker(args):
-    i, j, c1, c2, cfg, tol = args
-    return i, j, congruence_distance(c1, c2, cfg, tol)
+    i, j, c1, c2, tol = args
+    return i, j, congruence_distance(c1, c2, tol)
 
 
 def pairwise_congruence_matrix(
     cones: list[SupportCone],
-    config: CongruenceConfig | None = None,
     tol: float | None = None,
     jobs: int = 1,
 ) -> PairwiseCongruence:
     """All-pairs congruence distances.  Entries are independent; with
     ``jobs > 1`` they are computed in a process pool with deterministic
-    assembly (identical inputs and configuration give identical output
-    regardless of scheduling)."""
+    assembly (identical inputs give identical output regardless of
+    scheduling)."""
     n = len(cones)
     if n < 2:
         raise ValueError("need at least 2 cones")
-    cfg = config or CongruenceConfig()
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     results: dict[tuple[int, int], CongruenceResult] = {}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [(i, j, cones[i], cones[j], cfg, tol) for i, j in pairs]
+        tasks = [(i, j, cones[i], cones[j], tol) for i, j in pairs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for i, j, res in pool.map(_pair_worker, tasks, chunksize=32):
                 results[(i, j)] = res
     else:
         for i, j in pairs:
-            results[(i, j)] = congruence_distance(cones[i], cones[j], cfg, tol)
+            results[(i, j)] = congruence_distance(cones[i], cones[j], tol)
     matrix = np.zeros((n, n))
     for (i, j), res in results.items():
         matrix[i, j] = matrix[j, i] = res.distance
@@ -402,7 +415,6 @@ def continuity_probe(
     xstar,
     seq1,
     seq2,
-    config: CongruenceConfig | None = None,
     tol: float | None = None,
     witness_rule=None,
 ) -> ContinuityProbeResult:
@@ -414,27 +426,25 @@ def continuity_probe(
     rules); otherwise the optimizer's witnesses are used.  Residuals always
     come from the optimal registration.
     """
-    cfg = config or CongruenceConfig()
     x1 = np.asarray(seq1, dtype=float)
     x2 = np.asarray(seq2, dtype=float)
     xs = np.asarray(xstar, dtype=float)
     for seq in (x1, x2):
-        if len(seq) < cfg.probe_window:
+        if len(seq) < PROBE_WINDOW:
             raise ValueError("approach sequences are too short for the probe window")
         d = np.linalg.norm(seq - xs, axis=1)
         if d[-1] > 1e-3 * (1.0 + np.linalg.norm(xs)) or np.any(np.diff(d) > 1e-12):
             raise ValueError("sequences must converge monotonically to xstar")
 
     c0 = cone_fn(np.asarray(x0, dtype=float))
-    sampled = c0.is_sampled
     if tol is None:
-        tol = cfg.tol_sampled if sampled else cfg.tol_polyhedral
+        tol = TOL_SAMPLED if c0.is_sampled else TOL_POLYHEDRAL
 
     def track(seq):
         omegas, residuals = [], []
         for x in seq:
             cx = cone_fn(x)
-            res = congruence_distance(c0, cx, cfg, tol)
+            res = congruence_distance(c0, cx, tol)
             residuals.append(res.distance)
             if witness_rule is not None:
                 omegas.append(np.asarray(witness_rule(x), dtype=float))
@@ -444,14 +454,14 @@ def continuity_probe(
 
     om1, res1 = track(x1)
     om2, res2 = track(x2)
-    cauchy1 = _cauchy_gap(om1, cfg.probe_window)
-    cauchy2 = _cauchy_gap(om2, cfg.probe_window)
-    converged1 = cauchy1 <= cfg.probe_cauchy_tol
-    converged2 = cauchy2 <= cfg.probe_cauchy_tol
+    cauchy1 = _cauchy_gap(om1, PROBE_WINDOW)
+    cauchy2 = _cauchy_gap(om2, PROBE_WINDOW)
+    converged1 = cauchy1 <= PROBE_CAUCHY_TOL
+    converged2 = cauchy2 <= PROBE_CAUCHY_TOL
     L1, L2 = om1[-1], om2[-1]
     rel = L1.T @ L2
     relative_gap = float(np.linalg.norm(rel - np.eye(3)))
-    limits_differ = relative_gap > cfg.probe_differ_tol
+    limits_differ = relative_gap > PROBE_DIFFER_TOL
     residual_tail = max(res1[-1], res2[-1])
     hypothesis_violated = residual_tail > tol
     self_map = None

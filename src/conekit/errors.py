@@ -39,7 +39,3 @@ class IndeterminateIndexError(ConeKitError):
 class RankDeficientError(ConeKitError):
     """Point correspondences are too degenerate (collinear) to determine an
     orthogonal registration."""
-
-
-class NonConvergentError(ConeKitError):
-    """An iterative routine exhausted its budget without converging."""

@@ -22,7 +22,7 @@ bit-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -115,7 +115,6 @@ _KNOWN_CONFIG_KEYS = {
     "witness_threshold",
     "samples_per_cone",
     "jobs",
-    "coverage_frequency",
 }
 
 
@@ -124,7 +123,7 @@ def scene_from_dict(data: dict) -> Scene:
 
     ``{"inner": {...}, "outer": {...}, "sampling": {"count", "seed",
     "strategy"}, "config": {"tol", "witness_threshold",
-    "samples_per_cone"}}``
+    "samples_per_cone", "jobs"}}``
     """
     try:
         inner = _body_from_dict(data["inner"])
@@ -141,7 +140,6 @@ def scene_from_dict(data: dict) -> Scene:
         witness_threshold=raw_cfg.get("witness_threshold"),
         samples_per_cone=raw_cfg.get("samples_per_cone", 256),
         jobs=raw_cfg.get("jobs", 1),
-        coverage_frequency=raw_cfg.get("coverage_frequency", 3),
     )
     return Scene(
         inner=inner,
@@ -397,7 +395,7 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
     tol = cfg.resolve_tol(sampled)
     wit = cfg.resolve_witness_threshold(sampled)
 
-    pairwise = pairwise_congruence_matrix(cones, cfg.congruence, tol, jobs=cfg.jobs)
+    pairwise = pairwise_congruence_matrix(cones, tol, jobs=cfg.jobs)
     matrix = pairwise.matrix
 
     reports = [detect_symmetries(c, tol) for c in cones]
@@ -409,7 +407,7 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
     )
 
     sections = [cross_section(c, 1.0) for c in cones]
-    eta = eta_map(cones, sections, classes, cfg.coverage_frequency)
+    eta = eta_map(cones, sections, classes)
     sect = section_field(cones, eta.etas, matrix, tol, sections)
 
     iu = np.triu_indices(len(cones), k=1)
@@ -433,7 +431,6 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
             xstar,
             seq1,
             seq2,
-            cfg.congruence,
             tol,
         )
         diverging = probe.limits_differ or not (probe.converged1 and probe.converged2)
@@ -461,7 +458,7 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
         matrix=matrix,
         pairwise=pairwise,
         probe=probe,
-        config_echo=cfg.echo(),
+        config_echo=asdict(cfg),
     )
 
 
@@ -469,7 +466,7 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
 # serialization
 
 
-def _motion_to_dict(phi) -> dict:
+def motion_to_dict(phi) -> dict:
     return {"omega": phi.omega.tolist(), "a": phi.a.tolist()}
 
 

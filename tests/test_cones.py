@@ -71,6 +71,24 @@ class TestSupportCone:
             for r in cone.rays:
                 assert np.min(np.linalg.norm(np.cross(body.vertices - apex, r), axis=1)) <= 1e-9
 
+    def test_from_rays_drops_repeated_direction(self, rng):
+        dirs = unit(np.array([0.0, 0.0, 1.0])) + 0.4 * rng.standard_normal((12, 3))
+        once = SupportCone.from_rays([0, 0, 0], dirs)
+        twice = SupportCone.from_rays([0, 0, 0], np.vstack([dirs, 3.0 * dirs[[2, 7]], dirs[:1]]))
+        assert np.array_equal(once.rays, twice.rays)
+
+    def test_dedupe_matches_loop_reference(self, rng):
+        from conekit.cones import _dedupe_directions
+
+        dirs = rng.standard_normal((40, 3))
+        dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        dirs = np.vstack([dirs, dirs[[3, 3, 17]], dirs[[5]] + 1e-14, dirs[[8]] + 1e-9])
+        keep = []
+        for i, d in enumerate(dirs):
+            if not keep or np.min(np.linalg.norm(dirs[keep] - d, axis=1)) > 1e-12:
+                keep.append(i)
+        assert np.array_equal(_dedupe_directions(dirs), dirs[keep])
+
     def test_sampled_silhouette_touches_surface(self):
         ell = ConvexBody3.ellipsoid([0.5, 0, 0], [2, 1, 1])
         apex = np.array([6.0, 1.0, 0.5])

@@ -7,7 +7,7 @@ from conekit.congruence import (
     pairwise_congruence_matrix,
     procrustes_orthogonal,
 )
-from conekit.cones import motion_image, support_cone
+from conekit.cones import SupportCone, motion_image, support_cone
 from conekit.errors import RankDeficientError
 from conekit.geom import ConvexBody3, hausdorff_distance, unit
 from conekit.symmetry import detect_symmetries
@@ -112,6 +112,39 @@ class TestCongruenceDistance:
             ).distance
             assert abs(d - dm) <= 1e-8
 
+    def test_regular_polygons_of_different_counts_symmetric(self, rng):
+        # regular m-gon cones pass the exact-circle test; with unequal ray
+        # counts phase alignment is no symmetry argument, so they must take
+        # the grid and keep d(c1, c2) = d(c2, c1)
+        for m1 in range(3, 9):
+            for m2 in range(3, 9):
+                if m1 == m2:
+                    continue
+                c1 = motion_image(random_motion(rng), _regular_polygon_cone(m1, rng))
+                c2 = motion_image(random_motion(rng), _regular_polygon_cone(m2, rng))
+                d12 = congruence_distance(c1, c2).distance
+                d21 = congruence_distance(c2, c1).distance
+                assert abs(d12 - d21) <= 1e-9, (m1, m2, d12, d21)
+
+    def test_reversed_grid_only_without_tangent_anchor(self, monkeypatch):
+        import conekit.congruence as cg
+
+        calls = []
+        grid = cg._grid_candidates
+
+        def counting(*args):
+            calls.append(1)
+            return grid(*args)
+
+        monkeypatch.setattr(cg, "_grid_candidates", counting)
+        # off-axis apexes: both cones have a tangent anchor
+        congruence_distance(support_cone(ELLIPSOID, [3, 3, 1]), support_cone(ELLIPSOID, [1, -2, 4]))
+        assert len(calls) == 1
+        # the cone from (5, 0, 0) is circular about its axis: no anchor
+        calls.clear()
+        congruence_distance(support_cone(ELLIPSOID, [5, 0, 0]), support_cone(ELLIPSOID, [3, 3, 1]))
+        assert len(calls) == 2
+
     def test_oracle_dominance(self, rng):
         from oracles import grid_resolution_bound
 
@@ -132,6 +165,16 @@ class TestCongruenceDistance:
         oracle = o3_grid_distance(c1.rays, c2.rays, step_deg=10.0)
         assert opt <= oracle + 1e-9
         assert opt < 1e-3
+
+
+def _regular_polygon_cone(m, rng):
+    half_angle = rng.uniform(0.3, 1.0)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    rays = np.column_stack(
+        [np.sin(half_angle) * np.cos(theta), np.sin(half_angle) * np.sin(theta),
+         np.full(m, np.cos(half_angle))]
+    )
+    return SupportCone.from_rays(np.zeros(3), rays)
 
 
 def _witness_gap(omega, truth, cone, report):
