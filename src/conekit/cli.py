@@ -81,7 +81,12 @@ def _cmd_match(args) -> int:
     sampled = any(c.is_sampled for c in cones)
     tol = cfg.resolve_tol(sampled)
     if args.pairs != "all":
-        i, j = (int(t) for t in args.pairs.split(","))
+        try:
+            i, j = (int(f) for f in args.pairs.split(","))
+        except ValueError:
+            raise SceneInvalidError(f'--pairs must be "all" or "i,j", got {args.pairs!r}') from None
+        if not (0 <= i < len(cones) and 0 <= j < len(cones)):
+            raise SceneInvalidError(f"pair {i},{j} out of range for {len(cones)} cones")
         res = congruence_distance(cones[i], cones[j], tol)
         _dump(
             {

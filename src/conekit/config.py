@@ -35,6 +35,12 @@ TOL_POLYHEDRAL = 1e-6
 TOL_SAMPLED = 1e-3
 
 
+def default_tol(sampled: bool) -> float:
+    """Congruence and symmetry threshold when none is set: the sampled
+    tolerance when any cone involved was sampled from a smooth body."""
+    return TOL_SAMPLED if sampled else TOL_POLYHEDRAL
+
+
 #: Registration search over O(3).  After canonical-axis alignment a planar
 #: rotation grid of GRID_STEPS steps (plus the reflected branch) is scored on
 #: at most GRID_MAX_RAYS cyclically decimated rays; the GRID_TOP_CANDIDATES
@@ -82,9 +88,7 @@ class HarnessConfig:
     jobs: int = 1
 
     def resolve_tol(self, sampled: bool) -> float:
-        if self.tol is not None:
-            return self.tol
-        return TOL_SAMPLED if sampled else TOL_POLYHEDRAL
+        return self.tol if self.tol is not None else default_tol(sampled)
 
     def resolve_witness_threshold(self, sampled: bool) -> float:
         if self.witness_threshold is not None:

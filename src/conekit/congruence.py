@@ -11,8 +11,8 @@ the common axis (with a reflected branch for the improper component of
 O(3)), then polish the best grid candidates with an orthogonal-Procrustes
 iteration on symmetrized nearest-neighbour correspondences.  Pairs of
 exact circles with equal ray counts skip the grid: every planar rotation
-by a ray step is a symmetry, so phase alignment alone lands in the optimal
-basin.  The search constants live in ``conekit.config``.
+by a ray step is a symmetry, so the frame anchored at ray 0 alone lands in
+the optimal basin.  The search constants live in ``conekit.config``.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ from .config import (
     PROBE_CAUCHY_TOL,
     PROBE_DIFFER_TOL,
     PROBE_WINDOW,
-    TOL_POLYHEDRAL,
-    TOL_SAMPLED,
+    default_tol,
 )
 from .cones import SupportCone, canonical_axis
 from .errors import RankDeficientError
 from .geom import (
     RigidMotion,
     hausdorff_distance,
-    minimal_rotation,
     orthonormal_basis,
     rotation_matrix,
     unit,
@@ -127,7 +125,7 @@ def _uniform_circle(cone: SupportCone) -> bool:
     """Whether the extreme rays lie on a common circle about the canonical
     axis at uniform angular spacing.  For such cones every planar rotation
     by a ray step is a symmetry of the ray set, so the planar grid is
-    redundant and phase alignment alone finds the optimal basin."""
+    redundant and the frame anchored at ray 0 finds the optimal basin."""
     axis = canonical_axis(cone)
     ang = np.arccos(np.clip(cone.rays @ axis, -1.0, 1.0))
     if float(ang.max() - ang.min()) > CIRCLE_SPREAD:
@@ -167,15 +165,15 @@ def _top_local_maxima(scores: np.ndarray, k: int) -> np.ndarray:
     return peaks[order[:k]]
 
 
-def _tangent_anchor(rays: np.ndarray, axis: np.ndarray) -> np.ndarray | None:
+def _tangent_anchor(rays: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Equivariant in-plane reference: the tangential component of the mean
-    ray direction.  None when the cone is too symmetric to define one."""
+    ray direction, or of ray 0 when the cone is too symmetric for the mean
+    to define one (circles and regular polygons about the axis)."""
     m = rays.mean(axis=0)
     t = m - float(m @ axis) * axis
-    n = float(np.linalg.norm(t))
-    if n <= 1e-6:
-        return None
-    t = t / n
+    if np.linalg.norm(t) <= 1e-6:
+        t = rays[0] - float(rays[0] @ axis) * axis
+    t = t / np.linalg.norm(t)
     # second orthogonalization pass: normalizing a small component degrades
     # orthogonality to the axis beyond frame tolerance
     t = t - float(t @ axis) * axis
@@ -186,16 +184,13 @@ def _aligned_frames(ax1, t1, ax2, t2):
     """Axis-aligning base rotation plus the in-plane phase frame at axis2.
 
     Both are anchored to the cones' own geometry (axes ``ax`` and tangent
-    anchors ``t``) wherever possible, so the whole candidate construction
-    commutes with rigid motions of either cone; that is what makes the
-    reported distance motion-invariant.  Without both anchors the frame
-    falls back to the minimal rotation, which is not equivariant."""
-    if t1 is not None and t2 is not None:
-        F1 = np.column_stack([ax1, t1, np.cross(ax1, t1)])
-        F2 = np.column_stack([ax2, t2, np.cross(ax2, t2)])
-        return F2 @ F1.T, t2, np.cross(ax2, t2)
-    f1, f2 = orthonormal_basis(ax2)
-    return minimal_rotation(ax1, ax2), f1, f2
+    anchors ``t``), so the whole candidate construction commutes with rigid
+    motions of either cone and the reverse pair's frame is this one
+    transposed; that is what makes the reported distance motion-invariant
+    and symmetric."""
+    F1 = np.column_stack([ax1, t1, np.cross(ax1, t1)])
+    F2 = np.column_stack([ax2, t2, np.cross(ax2, t2)])
+    return F2 @ F1.T, t2, np.cross(ax2, t2)
 
 
 def _grid_candidates(
@@ -262,11 +257,6 @@ def _icp_refine(
     return best_h, best_omega
 
 
-def _phase_angle(vec: np.ndarray, axis: np.ndarray) -> float:
-    f1, f2 = orthonormal_basis(axis)
-    return float(np.arctan2(vec @ f2, vec @ f1))
-
-
 def congruence_distance(
     c1: SupportCone,
     c2: SupportCone,
@@ -279,33 +269,18 @@ def congruence_distance(
     sampled tolerance when either cone was sampled from a smooth body.
     """
     if tol is None:
-        tol = TOL_SAMPLED if c1.is_sampled or c2.is_sampled else TOL_POLYHEDRAL
+        tol = default_tol(c1.is_sampled or c2.is_sampled)
     r1, r2 = c1.rays, c2.rays
     ax1, ax2 = canonical_axis(c1), canonical_axis(c2)
+    base, f1, f2 = _aligned_frames(ax1, _tangent_anchor(r1, ax1), ax2, _tangent_anchor(r2, ax2))
 
-    candidates: list[np.ndarray]
     if len(r1) == len(r2) and _uniform_circle(c1) and _uniform_circle(c2):
         # exact circles with equal ray counts: planar rotations by a ray
-        # step are symmetries of both, only the phase of the sample points
-        # needs matching
-        base = minimal_rotation(ax1, ax2)
-        dt = _phase_angle(r2[0], ax2) - _phase_angle(base @ r1[0], ax2)
-        rot = rotation_matrix(ax2, dt)
-        f1, f2 = orthonormal_basis(ax2)
-        refl = np.eye(3) - 2.0 * np.outer(f2, f2)
-        dt_r = _phase_angle(r2[0], ax2) - _phase_angle(refl @ base @ r1[0], ax2)
-        candidates = [rot @ base, rotation_matrix(ax2, dt_r) @ refl @ base]
+        # step are symmetries of both, and the frame already maps ray 0 into
+        # the half-plane of ray 0; the reflected branch mirrors across it
+        candidates = [base, (np.eye(3) - 2.0 * np.outer(f2, f2)) @ base]
     else:
-        t1, t2 = _tangent_anchor(r1, ax1), _tangent_anchor(r2, ax2)
-        base, f1, f2 = _aligned_frames(ax1, t1, ax2, t2)
         candidates = _grid_candidates(r1, r2, ax2, base, f1, f2)
-        # Anchored frames are equivariant, so the reversed problem's grid is
-        # the exact transpose of this one and adds nothing.  The fallback
-        # frame is not; there the union with the reversed grid is what keeps
-        # d(c1, c2) = d(c2, c1).
-        if t1 is None or t2 is None:
-            g1, g2 = _aligned_frames(ax2, t2, ax1, t1)[1:]
-            candidates += [m.T for m in _grid_candidates(r2, r1, ax1, base.T, g1, g2)]
         if min(c1.axis_quality, c2.axis_quality) < AXIS_QUALITY_FLOOR:
             for rot in _icosahedral_rotations()[:MULTISTART_SEEDS]:
                 candidates.append(rot)
@@ -438,7 +413,7 @@ def continuity_probe(
 
     c0 = cone_fn(np.asarray(x0, dtype=float))
     if tol is None:
-        tol = TOL_SAMPLED if c0.is_sampled else TOL_POLYHEDRAL
+        tol = default_tol(c0.is_sampled)
 
     def track(seq):
         omegas, residuals = [], []

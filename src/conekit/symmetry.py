@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_POLYHEDRAL, TOL_SAMPLED
+from .config import TOL_SAMPLED, default_tol
 from .cones import PlanarSection, SupportCone, boundary_image_samples, canonical_axis
-from .geom import PlaneFrame, hausdorff_distance, orthonormal_basis, rotation_matrix, unit
+from .geom import PlaneFrame, hausdorff_distance, orthonormal_basis, rotation_matrix
 
 __all__ = [
     "SymmetryAxis",
@@ -61,10 +61,6 @@ class SymmetryReport:
     group_order: int | str
 
 
-def _default_tol(cone: SupportCone) -> float:
-    return TOL_SAMPLED if cone.is_sampled else TOL_POLYHEDRAL
-
-
 def is_right_circular(cone: SupportCone, tol: float | None = None) -> tuple[bool, float | None]:
     """Whether every boundary generator makes the same angle with the
     best-fit axis, within ``tol`` radians.
@@ -76,7 +72,7 @@ def is_right_circular(cone: SupportCone, tol: float | None = None) -> tuple[bool
     vertices (a square cone, say) are correctly rejected.
     """
     if tol is None:
-        tol = _default_tol(cone)
+        tol = default_tol(cone.is_sampled)
     pts = boundary_image_samples(cone)
     centered = pts - pts.mean(axis=0)
     w, v = np.linalg.eigh(centered.T @ centered)
@@ -99,13 +95,10 @@ def detect_symmetries(cone: SupportCone, tol: float | None = None) -> SymmetryRe
 
     Rotation candidates come from mapping the first ray onto every ray
     (complete: a symmetry permutes the extreme rays); mirror candidates
-    are the planes through the axis bisecting each such ray pair.  For
-    polyhedral cones with at most 64 rays, half-turns about every ray-pair
-    bisector are additionally tried, making the candidate set exhaustive
-    over all ray-permutation-compatible orthogonal maps.
+    are the planes through the axis bisecting each such ray pair.
     """
     if tol is None:
-        tol = _default_tol(cone)
+        tol = default_tol(cone.is_sampled)
     rays = cone.rays
     n = len(rays)
     axis = canonical_axis(cone)
@@ -170,21 +163,6 @@ def detect_symmetries(cone: SupportCone, tol: float | None = None) -> SymmetryRe
     n_rot = len(verified_rot) + 1
     if n_rot >= 2:
         axes.append(SymmetryAxis(point=np.array(cone.apex), direction=axis, order=n_rot))
-
-    # exhaustive extras for small polyhedral cones: half-turns about every
-    # ray-pair bisector (these can only verify when they coincide with the
-    # canonical axis, but they guard against a noisy axis estimate)
-    if not cone.is_sampled and n <= 64:
-        for i in range(n):
-            for j in range(i + 1, n):
-                mid = rays[i] + rays[j]
-                if np.linalg.norm(mid) < 1e-9:
-                    continue
-                d = unit(mid)
-                if abs(float(d @ axis)) > 1.0 - 1e-9:
-                    continue  # already covered by the canonical axis
-                if _verify(rays, rotation_matrix(d, np.pi), tol):
-                    axes.append(SymmetryAxis(point=np.array(cone.apex), direction=d, order=2))
 
     planes = tuple(
         PlaneFrame.from_normal(cone.apex, -np.sin(c) * f1 + np.cos(c) * f2)

@@ -56,6 +56,18 @@ def test_match_pair(scene_path, capsys):
     assert np.max(np.abs(omega.T @ omega - np.eye(3))) <= 1e-9
 
 
+@pytest.mark.parametrize("pairs", ["0,99", "0,8", "-1,3", "0", "a,b", "0,1,2", ""])
+def test_match_bad_pairs_exit_three(scene_path, pairs, capsys):
+    assert main(["match", "--scene", scene_path, f"--pairs={pairs}"]) == 3
+    assert "scene invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cone", "symmetry"])
+def test_apex_out_of_range_exit_three(scene_path, command, capsys):
+    assert main([command, "--scene", scene_path, "--apex", "99"]) == 3
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_match_all_csv(scene_path, tmp_path):
     out = tmp_path / "matrix.csv"
     assert main(["match", "--scene", scene_path, "--format", "csv", "--out", str(out)]) == 0

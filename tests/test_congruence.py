@@ -115,7 +115,8 @@ class TestCongruenceDistance:
     def test_regular_polygons_of_different_counts_symmetric(self, rng):
         # regular m-gon cones pass the exact-circle test; with unequal ray
         # counts phase alignment is no symmetry argument, so they must take
-        # the grid and keep d(c1, c2) = d(c2, c1)
+        # the grid and keep d(c1, c2) = d(c2, c1).  Their mean ray has no
+        # tangential part, so this also gates the ray-0 anchor's invariance.
         for m1 in range(3, 9):
             for m2 in range(3, 9):
                 if m1 == m2:
@@ -125,8 +126,12 @@ class TestCongruenceDistance:
                 d12 = congruence_distance(c1, c2).distance
                 d21 = congruence_distance(c2, c1).distance
                 assert abs(d12 - d21) <= 1e-9, (m1, m2, d12, d21)
+                d_moved = congruence_distance(
+                    motion_image(random_motion(rng), c1), motion_image(random_motion(rng), c2)
+                ).distance
+                assert abs(d12 - d_moved) <= 1e-8, (m1, m2, d12, d_moved)
 
-    def test_reversed_grid_only_without_tangent_anchor(self, monkeypatch):
+    def test_grid_runs_once_per_pair(self, monkeypatch):
         import conekit.congruence as cg
 
         calls = []
@@ -137,13 +142,43 @@ class TestCongruenceDistance:
             return grid(*args)
 
         monkeypatch.setattr(cg, "_grid_candidates", counting)
-        # off-axis apexes: both cones have a tangent anchor
+        # off-axis apexes: both cones anchor on their mean ray
         congruence_distance(support_cone(ELLIPSOID, [3, 3, 1]), support_cone(ELLIPSOID, [1, -2, 4]))
         assert len(calls) == 1
-        # the cone from (5, 0, 0) is circular about its axis: no anchor
+        # the cone from (5, 0, 0) is circular about its axis and anchors on
+        # ray 0; the frame stays equivariant, so no reversed grid is needed
         calls.clear()
         congruence_distance(support_cone(ELLIPSOID, [5, 0, 0]), support_cone(ELLIPSOID, [3, 3, 1]))
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_wide_cones_reach_multistart(self, rng, monkeypatch):
+        import conekit.congruence as cg
+
+        calls = []
+        seeds = cg._icosahedral_rotations
+
+        def counting():
+            calls.append(1)
+            return seeds()
+
+        monkeypatch.setattr(cg, "_icosahedral_rotations", counting)
+        # apexes just off the surface: the cones are nearly half-spaces and
+        # their canonical axis quality falls below AXIS_QUALITY_FLOOR
+        radii = np.array([2.0, 1.0, 0.7])
+        body = ConvexBody3.ellipsoid([0, 0, 0], radii)
+
+        def near_surface(d):
+            p = unit(d) / np.linalg.norm(unit(d) / radii)
+            return p + 1e-4 * unit(p / radii**2)
+
+        c1 = support_cone(body, near_surface([1, 1, 1]), samples=64)
+        c2 = support_cone(body, near_surface([-1, 0.5, 0.3]), samples=64)
+        assert max(c1.axis_quality, c2.axis_quality) < cg.AXIS_QUALITY_FLOOR
+        assert congruence_distance(c1, motion_image(random_motion(rng), c1)).distance <= 1e-10
+        assert calls
+        d12 = congruence_distance(c1, c2).distance
+        d21 = congruence_distance(c2, c1).distance
+        assert abs(d12 - d21) <= 1e-9
 
     def test_oracle_dominance(self, rng):
         from oracles import grid_resolution_bound
