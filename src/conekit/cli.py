@@ -68,26 +68,21 @@ def _scene_with_overrides(args) -> tuple:
 
 def _cmd_cone(args) -> int:
     scene, cfg = _scene_with_overrides(args)
-    _, cones = scene_cones(scene)
-    if not 0 <= args.apex < len(cones):
-        raise SceneInvalidError(f"apex index {args.apex} out of range")
-    _dump(cone_to_dict(cones[args.apex]), args.out)
+    _, (cone,) = scene_cones(scene, [args.apex])
+    _dump(cone_to_dict(cone), args.out)
     return EXIT_OK
 
 
 def _cmd_match(args) -> int:
     scene, cfg = _scene_with_overrides(args)
-    _, cones = scene_cones(scene)
-    sampled = any(c.is_sampled for c in cones)
-    tol = cfg.resolve_tol(sampled)
     if args.pairs != "all":
         try:
             i, j = (int(f) for f in args.pairs.split(","))
         except ValueError:
             raise SceneInvalidError(f'--pairs must be "all" or "i,j", got {args.pairs!r}') from None
-        if not (0 <= i < len(cones) and 0 <= j < len(cones)):
-            raise SceneInvalidError(f"pair {i},{j} out of range for {len(cones)} cones")
-        res = congruence_distance(cones[i], cones[j], tol)
+        _, (ci, cj) = scene_cones(scene, [i, j])
+        tol = cfg.resolve_tol(ci.is_sampled or cj.is_sampled)
+        res = congruence_distance(ci, cj, tol)
         _dump(
             {
                 "pair": [i, j],
@@ -100,6 +95,8 @@ def _cmd_match(args) -> int:
             args.out,
         )
         return EXIT_OK
+    _, cones = scene_cones(scene)
+    tol = cfg.resolve_tol(any(c.is_sampled for c in cones))
     pw = pairwise_congruence_matrix(cones, tol, jobs=cfg.jobs)
     if args.format == "csv":
         csv = matrix_to_csv(pw.matrix)
@@ -129,11 +126,8 @@ def _cmd_match(args) -> int:
 
 def _cmd_symmetry(args) -> int:
     scene, cfg = _scene_with_overrides(args)
-    _, cones = scene_cones(scene)
-    if not 0 <= args.apex < len(cones):
-        raise SceneInvalidError(f"apex index {args.apex} out of range")
-    sampled = cones[args.apex].is_sampled
-    report = detect_symmetries(cones[args.apex], cfg.resolve_tol(sampled))
+    _, (cone,) = scene_cones(scene, [args.apex])
+    report = detect_symmetries(cone, cfg.resolve_tol(cone.is_sampled))
     _dump(symmetry_report_to_dict(report), args.out)
     return EXIT_OK
 

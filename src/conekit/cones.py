@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .config import APEX_MARGIN, EPS_GEO, EPS_ORTHO
 from .errors import ApexInsideBodyError
@@ -73,6 +72,8 @@ def _salient_witness(dirs: np.ndarray, hint: np.ndarray | None = None) -> np.nda
 
 def _dedupe_directions(dirs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Drop every direction within ``tol`` of an earlier one."""
+    from scipy.spatial import cKDTree
+
     pairs = cKDTree(dirs).query_pairs(tol, output_type="ndarray")  # i < j
     keep = np.ones(len(dirs), dtype=bool)
     keep[pairs[:, 1]] = False
@@ -139,6 +140,8 @@ class SupportCone:
         proj = dirs / (dirs @ w)[:, None]
         bu, bv = orthonormal_basis(w)
         pts2 = np.column_stack([proj @ bu, proj @ bv])
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             hull = ConvexHull(pts2)
         except QhullError as exc:

@@ -7,7 +7,11 @@ different modules agree on what "equal" means.  All geometry is plain
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+
+from .errors import SceneInvalidError
 
 #: Geometric predicate tolerance: salience margins, extremeness tests,
 #: membership tests.
@@ -33,6 +37,21 @@ TOL_POLYHEDRAL = 1e-6
 #: Congruence decision threshold for cones sampled from smooth bodies,
 #: where discretization error dominates the residual.
 TOL_SAMPLED = 1e-3
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_positive_number(value) -> bool:
+    """A finite real number > 0 that is not a bool."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 def default_tol(sampled: bool) -> float:
@@ -79,13 +98,30 @@ class HarnessConfig:
     kind-based default (polyhedral vs sampled cones).  The witness
     threshold defaults to ``10 * tol``, leaving an inconclusive band
     between the two rather than forcing a binary verdict on borderline
-    scenes.
+    scenes.  Values are checked on construction (and on
+    ``dataclasses.replace``); a bad value raises ``SceneInvalidError``.
     """
 
     tol: float | None = None
     witness_threshold: float | None = None
     samples_per_cone: int = 256
     jobs: int = 1
+
+    def __post_init__(self):
+        for name in ("tol", "witness_threshold"):
+            value = getattr(self, name)
+            if value is not None and not is_positive_number(value):
+                raise SceneInvalidError(f"config {name} must be a finite number > 0, got {value!r}")
+        if self.tol is not None and self.witness_threshold is not None and self.witness_threshold < self.tol:
+            raise SceneInvalidError(
+                f"config witness_threshold {self.witness_threshold!r} is below tol {self.tol!r}"
+            )
+        if not (is_integer(self.samples_per_cone) and self.samples_per_cone >= 3):
+            raise SceneInvalidError(
+                f"config samples_per_cone must be an integer >= 3, got {self.samples_per_cone!r}"
+            )
+        if not (is_integer(self.jobs) and self.jobs >= 1):
+            raise SceneInvalidError(f"config jobs must be an integer >= 1, got {self.jobs!r}")
 
     def resolve_tol(self, sampled: bool) -> float:
         return self.tol if self.tol is not None else default_tol(sampled)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import polar
-from scipy.spatial.distance import cdist
 
 from .config import (
     AXIS_QUALITY_FLOOR,
@@ -145,11 +143,11 @@ def _decimate_cyclic(rays: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _hausdorff_sq_scores(G: np.ndarray) -> np.ndarray:
-    """For a stack of inner-product matrices between unit vectors, the
-    score min(min_i max_j, min_j max_i); higher score = smaller Hausdorff
-    distance (d^2 = 2 - 2 * score)."""
-    m1 = G.max(axis=2).min(axis=1)
-    m2 = G.max(axis=1).min(axis=1)
+    """For inner products ``G[i, j, k]`` between unit vectors i and j under
+    grid step k, the score min(min_i max_j, min_j max_i) per step; higher
+    score = smaller Hausdorff distance (d^2 = 2 - 2 * score)."""
+    m1 = G.max(axis=1).min(axis=0)
+    m2 = G.max(axis=0).min(axis=0)
     return np.minimum(m1, m2)
 
 
@@ -209,17 +207,26 @@ def _grid_candidates(
     Q = _decimate_cyclic(rays2, GRID_MAX_RAYS)
     a, b, z = P @ f1, P @ f2, P @ axis2
     al, be, ze = Q @ f1, Q @ f2, Q @ axis2
-    Z = np.outer(z, ze).astype(np.float32)
+    Z = np.outer(z, ze).astype(np.float32)[:, :, None]
     ts = 2.0 * np.pi * np.arange(GRID_STEPS) / GRID_STEPS
-    cos_t = np.cos(ts)[:, None, None].astype(np.float32)
-    sin_t = np.sin(ts)[:, None, None].astype(np.float32)
+    cos_t = np.cos(ts).astype(np.float32)
+    sin_t = np.sin(ts).astype(np.float32)
+    # the (n, m, steps) tensor is scored in cache-sized slabs of grid steps;
+    # steps run along the last axis, so the reductions over rays are
+    # elementwise over contiguous steps even for 4-ray cones
+    rows = max(1, 65536 // Z.size)
     refl = np.eye(3) - 2.0 * np.outer(f2, f2)  # mirror across plane(axis2, f1)
     out: list[np.ndarray] = []
     for sign in (1.0, -1.0):
         bb = sign * b
-        C = (np.outer(a, al) + np.outer(bb, be)).astype(np.float32)
-        S = (np.outer(a, be) - np.outer(bb, al)).astype(np.float32)
-        scores = _hausdorff_sq_scores(cos_t * C + sin_t * S + Z)
+        C = (np.outer(a, al) + np.outer(bb, be)).astype(np.float32)[:, :, None]
+        S = (np.outer(a, be) - np.outer(bb, al)).astype(np.float32)[:, :, None]
+        scores = np.empty(GRID_STEPS, dtype=np.float32)
+        for lo in range(0, GRID_STEPS, rows):
+            G = cos_t[lo : lo + rows] * C
+            G += sin_t[lo : lo + rows] * S
+            G += Z
+            scores[lo : lo + rows] = _hausdorff_sq_scores(G)
         for idx in _top_local_maxima(scores, GRID_TOP_CANDIDATES):
             rot = rotation_matrix(axis2, float(ts[idx]))
             out.append(rot @ base if sign > 0 else rot @ refl @ base)
@@ -234,26 +241,33 @@ def _icp_refine(
 ) -> tuple[float, np.ndarray]:
     """Polish a candidate by orthogonal Procrustes on the union of both
     directed nearest-neighbour matchings (symmetric in the two cones).
-    Returns the best Hausdorff residual seen and its orthogonal map."""
+    Returns the best Hausdorff residual seen and its orthogonal map.
+
+    The rays are unit vectors, so a ray's nearest neighbour is the one of
+    largest inner product; distances are taken from the differences of the
+    selected pairs, which keeps small residuals exact."""
     omega = omega0
     best_h = np.inf
     best_omega = omega0
-    for _ in range(max_iter):
-        D = cdist(rays1 @ omega.T, rays2)
-        h = max(D.min(axis=1).max(), D.min(axis=0).max())
+    for it in range(max_iter + 1):
+        A = rays1 @ omega.T
+        nn12 = (A @ rays2.T).argmax(axis=1)
+        nn21 = (rays2 @ A.T).argmax(axis=1)
+        h = max(
+            np.linalg.norm(A - rays2[nn12], axis=1).max(),
+            np.linalg.norm(A[nn21] - rays2, axis=1).max(),
+        )
         if h < best_h:
             best_h = float(h)
             best_omega = omega
-        src = np.vstack([rays1, rays1[D.argmin(axis=0)]])
-        dst = np.vstack([rays2[D.argmin(axis=1)], rays2])
+        if it == max_iter:
+            break
+        src = np.vstack([rays1, rays1[nn21]])
+        dst = np.vstack([rays2[nn12], rays2])
         omega_new = _procrustes_matrix(src, dst)
         if np.max(np.abs(omega_new - omega)) < ICP_CONVERGED:
             break
         omega = omega_new
-    D = cdist(rays1 @ omega.T, rays2)
-    h = float(max(D.min(axis=1).max(), D.min(axis=0).max()))
-    if h < best_h:
-        best_h, best_omega = h, omega
     return best_h, best_omega
 
 
@@ -296,7 +310,8 @@ def congruence_distance(
     h, om = _icp_refine(r1, r2, best_omega)
     if h < best_h:
         best_h, best_omega = h, om
-    best_omega, _ = polar(best_omega)  # snap accumulated round-off back onto O(3)
+    u, _, vh = np.linalg.svd(best_omega)
+    best_omega = u @ vh  # polar factor: snaps accumulated round-off back onto O(3)
     witness = RigidMotion(omega=best_omega, a=c2.apex - best_omega @ c1.apex)
     return CongruenceResult(
         distance=best_h, witness=witness, congruent=best_h <= tol, tol=tol

@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import polar
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import cdist
 
 from .config import EPS_DET, EPS_GEO, EPS_ORTHO, REPROJECT_AFTER
 
@@ -203,7 +200,8 @@ def compose(phi1: RigidMotion, phi2: RigidMotion) -> RigidMotion:
     a = phi1.a + phi1.omega @ phi2.a
     steps = phi1.steps + phi2.steps + 1
     if steps > REPROJECT_AFTER:
-        omega, _ = polar(omega)
+        u, _, vh = np.linalg.svd(omega)
+        omega = u @ vh  # the orthogonal polar factor
         steps = 0
     return RigidMotion(omega=omega, a=a, steps=steps)
 
@@ -228,9 +226,21 @@ def reflection_in_plane(frame: PlaneFrame) -> RigidMotion:
     return RigidMotion(omega=om, a=frame.origin - om @ frame.origin)
 
 
+def _nearest_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Index of the nearest row of Q for every row of P: the largest lifted
+    product ``[p, 1] . [q, -|q|^2 / 2]``."""
+    lifted_p = np.hstack([P, np.ones((len(P), 1))])
+    lifted_q = np.hstack([Q, -0.5 * np.einsum("ij,ij->i", Q, Q)[:, None]])
+    return (lifted_p @ lifted_q.T).argmax(axis=1)
+
+
 def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two finite point sets of equal
-    dimension (2 or 3).  Zero exactly when the sets coincide."""
+    dimension (2 or 3).  Zero exactly when the sets coincide.
+
+    Nearest points are selected about the centre of ``b`` (so the selection
+    does not depend on where the sets lie), and distances are taken from
+    the differences of the selected pairs."""
     A = np.atleast_2d(np.asarray(a, dtype=float))
     B = np.atleast_2d(np.asarray(b, dtype=float))
     if A.size == 0 or B.size == 0:
@@ -239,8 +249,15 @@ def hausdorff_distance(a, b) -> float:
         raise ValueError("point sets must share one dimension")
     if A.shape[1] not in (2, 3):
         raise ValueError("only 2D and 3D point sets are supported")
-    d = cdist(A, B)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    c = B.mean(axis=0)
+    nn_ab = _nearest_rows(A - c, B - c)
+    nn_ba = _nearest_rows(B - c, A - c)
+    return float(
+        max(
+            np.linalg.norm(A - B[nn_ab], axis=1).max(),
+            np.linalg.norm(A[nn_ba] - B, axis=1).max(),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +290,8 @@ class ConvexBody3:
             raise ValueError("polytope vertices must be an (n, 3) array")
         if len(verts) < 4:
             raise ValueError("a full-dimensional polytope needs at least 4 vertices")
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             hull = ConvexHull(verts)
         except QhullError as exc:

@@ -22,11 +22,11 @@ bit-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .config import EPS_GEO, HarnessConfig
+from .config import EPS_GEO, HarnessConfig, is_integer, is_positive_number
 from .cones import PlanarSection, SupportCone, cross_section, support_cone
 from .congruence import (
     ContinuityProbeResult,
@@ -79,10 +79,12 @@ class Scene:
     def __post_init__(self):
         if self.strategy not in ("fibonacci", "random"):
             raise SceneInvalidError(f"unknown sampling strategy {self.strategy!r}")
-        if self.count < 2:
-            raise SceneInvalidError("need at least 2 apex samples")
-        if self.containment_margin <= 0:
-            raise SceneInvalidError("containment margin must be positive")
+        if not (is_integer(self.count) and self.count >= 2):
+            raise SceneInvalidError(f"apex count must be an integer >= 2, got {self.count!r}")
+        if not is_integer(self.seed):
+            raise SceneInvalidError(f"sampling seed must be an integer, got {self.seed!r}")
+        if not is_positive_number(self.containment_margin):
+            raise SceneInvalidError("containment margin must be a finite number > 0")
         origin = self.inner.centroid() if self.origin is None else as_point(self.origin)
         origin = np.ascontiguousarray(origin)
         origin.flags.writeable = False
@@ -97,25 +99,37 @@ class Scene:
                 )
 
 
+_SCENE_KEYS = {"inner", "outer", "sampling", "config", "containment_margin"}
+_SAMPLING_KEYS = {"count", "seed", "strategy"}
+_CONFIG_KEYS = {f.name for f in fields(HarnessConfig)}
+_BODY_KEYS = {
+    "ball": {"kind", "center", "radius"},
+    "ellipsoid": {"kind", "center", "semi_axes", "orientation"},
+    "polytope": {"kind", "vertices"},
+}
+
+
+def _check_keys(where: str, data, known: set) -> dict:
+    if not isinstance(data, dict):
+        raise SceneInvalidError(f"{where} must be a JSON object")
+    unknown = set(data) - known
+    if unknown:
+        raise SceneInvalidError(f"unknown {where} keys: {sorted(unknown)}")
+    return data
+
+
 def _body_from_dict(data: dict) -> ConvexBody3:
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in _BODY_KEYS:
+        raise SceneInvalidError(f"unknown body kind {kind!r}")
+    _check_keys(f"{kind} body", data, _BODY_KEYS[kind])
     if kind == "ball":
         return ConvexBody3.ball(data["center"], data["radius"])
     if kind == "ellipsoid":
         return ConvexBody3.ellipsoid(
             data["center"], data["semi_axes"], data.get("orientation")
         )
-    if kind == "polytope":
-        return ConvexBody3.polytope(data["vertices"])
-    raise SceneInvalidError(f"unknown body kind {kind!r}")
-
-
-_KNOWN_CONFIG_KEYS = {
-    "tol",
-    "witness_threshold",
-    "samples_per_cone",
-    "jobs",
-}
+    return ConvexBody3.polytope(data["vertices"])
 
 
 def scene_from_dict(data: dict) -> Scene:
@@ -123,24 +137,19 @@ def scene_from_dict(data: dict) -> Scene:
 
     ``{"inner": {...}, "outer": {...}, "sampling": {"count", "seed",
     "strategy"}, "config": {"tol", "witness_threshold",
-    "samples_per_cone", "jobs"}}``
+    "samples_per_cone", "jobs"}, "containment_margin"}``
+
+    Unknown keys at any level are rejected, as are values of the wrong type
+    or range (``SceneInvalidError``).
     """
+    _check_keys("scene", data, _SCENE_KEYS)
     try:
         inner = _body_from_dict(data["inner"])
         outer = _body_from_dict(data["outer"])
     except (KeyError, ValueError, TypeError) as exc:
         raise SceneInvalidError(f"invalid body specification: {exc}") from exc
-    sampling = data.get("sampling", {})
-    raw_cfg = data.get("config", {})
-    unknown = set(raw_cfg) - _KNOWN_CONFIG_KEYS
-    if unknown:
-        raise SceneInvalidError(f"unknown config keys: {sorted(unknown)}")
-    cfg = HarnessConfig(
-        tol=raw_cfg.get("tol"),
-        witness_threshold=raw_cfg.get("witness_threshold"),
-        samples_per_cone=raw_cfg.get("samples_per_cone", 256),
-        jobs=raw_cfg.get("jobs", 1),
-    )
+    sampling = _check_keys("sampling", data.get("sampling", {}), _SAMPLING_KEYS)
+    cfg = HarnessConfig(**_check_keys("config", data.get("config", {}), _CONFIG_KEYS))
     return Scene(
         inner=inner,
         outer=outer,
@@ -196,12 +205,20 @@ def scene_apexes(scene: Scene) -> np.ndarray:
     return apexes
 
 
-def scene_cones(scene: Scene) -> tuple[np.ndarray, list[SupportCone]]:
-    """Apexes on the outer boundary and the inner body's support cones."""
+def scene_cones(scene: Scene, indices=None) -> tuple[np.ndarray, list[SupportCone]]:
+    """Apexes on the outer boundary and the inner body's support cones.
+
+    Every apex is sampled and checked; with ``indices`` only the cones at
+    those apexes are built, in that order."""
     apexes = scene_apexes(scene)
+    if indices is None:
+        indices = range(len(apexes))
+    for i in indices:
+        if not 0 <= i < len(apexes):
+            raise SceneInvalidError(f"apex index {i} out of range for {len(apexes)} apexes")
     cones = [
-        support_cone(scene.inner, x, samples=scene.config.samples_per_cone)
-        for x in apexes
+        support_cone(scene.inner, apexes[i], samples=scene.config.samples_per_cone)
+        for i in indices
     ]
     return apexes, cones
 

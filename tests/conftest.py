@@ -1,9 +1,15 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from conekit.cones import SupportCone
 from conekit.geom import RigidMotion, unit
+from conekit.harness import load_scene, verify_scene
+
+ROOT = Path(__file__).resolve().parents[1]
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -58,3 +64,13 @@ def random_cone(rng, n_rays: int | None = None) -> SupportCone:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def ellipsoid_verify():
+    """One verify of the golden ellipsoid scene, shared by acceptance
+    criterion 2 and the pinned-report test: (scene, report, seconds)."""
+    scene = load_scene(ROOT / "scenes" / "ellipsoid_211_R5.json")
+    t0 = time.perf_counter()
+    report = verify_scene(scene)
+    return scene, report, time.perf_counter() - t0

@@ -51,6 +51,65 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
+def icp_refine_cdist(rays1, rays2, omega0, max_iter, converged=1e-12):
+    """The orthogonal-Procrustes polish with nearest neighbours from a full
+    cdist matrix: the reference for ``congruence._icp_refine``."""
+    omega = omega0
+    best_h, best_omega = np.inf, omega0
+    for _ in range(max_iter):
+        D = cdist(rays1 @ omega.T, rays2)
+        h = max(D.min(axis=1).max(), D.min(axis=0).max())
+        if h < best_h:
+            best_h, best_omega = float(h), omega
+        src = np.vstack([rays1, rays1[D.argmin(axis=0)]])
+        dst = np.vstack([rays2[D.argmin(axis=1)], rays2])
+        U, _, Vt = np.linalg.svd(src.T @ dst)
+        omega_new = Vt.T @ U.T
+        if np.max(np.abs(omega_new - omega)) < converged:
+            break
+        omega = omega_new
+    h = hausdorff(rays1 @ omega.T, rays2)
+    if h < best_h:
+        best_h, best_omega = h, omega
+    return best_h, best_omega
+
+
+def grid_candidates_dense(rays1, rays2, axis2, base, f1, f2, steps=720, max_rays=24, top=2):
+    """The planar-grid candidates with the whole (steps, n, m) float32
+    tensor scored at once: the reference for ``congruence._grid_candidates``.
+    The library's Rodrigues formula builds the rotations, so that both
+    routes give the same bits when they select the same grid steps."""
+    from conekit.geom import rotation_matrix
+
+    def decimate(rays):
+        n = len(rays)
+        return rays if n <= max_rays else rays[np.unique((np.arange(max_rays) * n) // max_rays)]
+
+    P = decimate(rays1) @ base.T
+    Q = decimate(rays2)
+    a, b, z = P @ f1, P @ f2, P @ axis2
+    al, be, ze = Q @ f1, Q @ f2, Q @ axis2
+    Z = np.outer(z, ze).astype(np.float32)
+    ts = 2.0 * np.pi * np.arange(steps) / steps
+    cos_t = np.cos(ts)[:, None, None].astype(np.float32)
+    sin_t = np.sin(ts)[:, None, None].astype(np.float32)
+    refl = np.eye(3) - 2.0 * np.outer(f2, f2)
+    out = []
+    for sign in (1.0, -1.0):
+        bb = sign * b
+        C = (np.outer(a, al) + np.outer(bb, be)).astype(np.float32)
+        S = (np.outer(a, be) - np.outer(bb, al)).astype(np.float32)
+        G = cos_t * C + sin_t * S + Z
+        scores = np.minimum(G.max(axis=2).min(axis=1), G.max(axis=1).min(axis=1))
+        peaks = np.nonzero((scores >= np.roll(scores, 1)) & (scores >= np.roll(scores, -1)))[0]
+        if len(peaks) == 0:
+            peaks = np.array([int(np.argmax(scores))])
+        for idx in peaks[np.argsort(scores[peaks])[::-1][:top]]:
+            rot = rotation_matrix(axis2, float(ts[idx]))
+            out.append(rot @ base if sign > 0 else rot @ refl @ base)
+    return out
+
+
 def o3_grid_distance(rays1: np.ndarray, rays2: np.ndarray, step_deg: float = 1.0) -> float:
     """Exhaustive grid search over O(3): rotations about the 62 icosahedral
     directions in step_deg increments, both determinant signs (every

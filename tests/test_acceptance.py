@@ -71,12 +71,17 @@ def test_criterion_1_ball_golden_scene():
     )
 
 
-def test_criterion_2_ellipsoid_golden_scene():
-    scene = Scene(inner=ELLIPSOID, outer=SPHERE5, count=50, strategy="fibonacci",
-                  config=HarnessConfig(samples_per_cone=256))
-    t0 = time.perf_counter()
-    report = verify_scene(scene)
-    elapsed = time.perf_counter() - t0
+def test_criterion_2_ellipsoid_golden_scene(ellipsoid_verify):
+    scene, report, elapsed = ellipsoid_verify
+    # the shared run is of scenes/ellipsoid_211_R5.json: the (2, 1, 1)
+    # ellipsoid in the radius-5 ball, 50 Fibonacci apexes, 256 samples
+    assert np.array_equal(scene.inner.semi_axes, ELLIPSOID.semi_axes)
+    assert np.array_equal(scene.inner.center, ELLIPSOID.center)
+    assert np.array_equal(scene.inner.orientation, ELLIPSOID.orientation)
+    assert scene.outer.kind == "ball" and scene.outer.radius == SPHERE5.radius
+    assert np.array_equal(scene.outer.center, SPHERE5.center)
+    assert (scene.count, scene.strategy) == (50, "fibonacci")
+    assert scene.config == HarnessConfig(samples_per_cone=256)
     c_axis = support_cone(ELLIPSOID, [5.0, 0.0, 0.0], samples=256)
     c_side = support_cone(ELLIPSOID, [0.0, 5.0, 0.0], samples=256)
     pair = congruence_distance(c_axis, c_side)

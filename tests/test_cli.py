@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
 
+from conekit import harness
 from conekit.cli import main
+from conekit.congruence import congruence_distance
+from conekit.symmetry import detect_symmetries
 from conekit.geom import rotation_matrix, unit
 from conekit.topology import icosphere
 
@@ -148,3 +153,97 @@ def test_seed_override_changes_random_sampling(tmp_path, capsys):
     main(["cone", "--scene", str(path), "--apex", "0", "--seed", "5"])
     second = capsys.readouterr().out
     assert first != second
+
+
+def _six_apex_ball(**changes):
+    scene = json.loads(json.dumps(BALL_SCENE))
+    scene["sampling"]["count"] = 6
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = scene
+        for p in parents:
+            node = node[p]
+        node[key] = value
+    return scene
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"config.tol": float("nan")},
+        {"config.tol": -1.0},
+        {"config.tol": "1e-3"},
+        {"config.samples_per_cone": 2},
+        {"config.samples_per_cone": 64.0},
+        {"config.jobs": 0},
+        {"config.tol": 1e-3, "config.witness_threshold": 1e-4},
+        {"config.witness_threshold": float("inf")},
+        {"sampling.count": "5"},
+        {"sampling.count": 2.5},
+        {"sampling.count": True},
+        {"sampling.seed": None},
+        {"sampling.cuont": 5},
+        {"mystery": 1},
+        {"inner.colour": "red"},
+    ],
+    ids=lambda c: ",".join(f"{k}={v!r}" for k, v in c.items()),
+)
+def test_invalid_scene_values_exit_three(tmp_path, changes, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_six_apex_ball(**changes)))
+    assert main(["verify", "--scene", str(path)]) == 3
+    assert "scene invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--tol", "nan"], ["--tol", "-1"]], ids=" ".join)
+def test_invalid_overrides_exit_three(tmp_path, flags, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_six_apex_ball()))
+    assert main(["verify", "--scene", str(path), *flags]) == 3
+    assert "scene invalid" in capsys.readouterr().err
+
+
+def test_queries_build_only_their_cones_and_match_full_list(tmp_path, capsys, monkeypatch):
+    """Seeded cone/symmetry/match queries build one or two cones, and print
+    exactly what the same computation on the full cone list prints."""
+    scene_dict = {
+        "inner": {"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [2.0, 1.0, 1.0]},
+        "outer": {"kind": "ball", "center": [0, 0, 0], "radius": 5.0},
+        "sampling": {"count": 12, "seed": 0, "strategy": "fibonacci"},
+        "config": {"samples_per_cone": 64},
+    }
+    path = tmp_path / "ellipsoid.json"
+    path.write_text(json.dumps(scene_dict))
+    scene = harness.load_scene(path)
+    _, cones = harness.scene_cones(scene)  # the full list, built once
+    tol = scene.config.resolve_tol(True)
+
+    def dump(data):
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    built = []
+    real_support_cone = harness.support_cone
+    monkeypatch.setattr(harness, "support_cone", lambda *a, **k: built.append(1) or real_support_cone(*a, **k))
+    rng = random.Random(3)
+    for _ in range(6):
+        i, j = rng.sample(range(12), 2)
+        built.clear()
+        assert main(["cone", "--scene", str(path), "--apex", str(i)]) == 0
+        assert capsys.readouterr().out == dump(harness.cone_to_dict(cones[i]))
+        assert len(built) == 1
+        assert main(["symmetry", "--scene", str(path), "--apex", str(i)]) == 0
+        expect = harness.symmetry_report_to_dict(detect_symmetries(cones[i], tol))
+        assert capsys.readouterr().out == dump(expect)
+        built.clear()
+        assert main(["match", "--scene", str(path), "--pairs", f"{i},{j}"]) == 0
+        res = congruence_distance(cones[i], cones[j], tol)
+        expect = {
+            "pair": [i, j],
+            "distance": res.distance,
+            "congruent": res.congruent,
+            "tol": res.tol,
+            "witness": harness.motion_to_dict(res.witness),
+            "config": dataclasses.asdict(scene.config),
+        }
+        assert capsys.readouterr().out == dump(expect)
+        assert len(built) == 2
