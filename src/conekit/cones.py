@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import APEX_MARGIN, EPS_GEO, EPS_ORTHO
+from .config import APEX_MARGIN, CIRCLE_SPREAD, EPS_GEO, EPS_ORTHO
 from .errors import ApexInsideBodyError
 from .geom import (
     ConvexBody3,
@@ -78,6 +78,35 @@ def _dedupe_directions(dirs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     keep = np.ones(len(dirs), dtype=bool)
     keep[pairs[:, 1]] = False
     return dirs[keep]
+
+
+def _tangent_anchor(rays: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Equivariant in-plane reference: the tangential component of the mean
+    ray direction, or of ray 0 when the cone is too symmetric for the mean
+    to define one (circles and regular polygons about the axis)."""
+    m = rays.mean(axis=0)
+    t = m - float(m @ axis) * axis
+    if np.linalg.norm(t) <= 1e-6:
+        t = rays[0] - float(rays[0] @ axis) * axis
+    t = t / np.linalg.norm(t)
+    # second orthogonalization pass: normalizing a small component degrades
+    # orthogonality to the axis beyond frame tolerance
+    t = t - float(t @ axis) * axis
+    return t / np.linalg.norm(t)
+
+
+def _uniform_circle(rays: np.ndarray, axis: np.ndarray) -> bool:
+    """Whether the rays lie on a common circle about the axis at uniform
+    angular spacing.  For such cones every planar rotation by a ray step is
+    a symmetry of the ray set, so the planar grid is redundant and the
+    frame anchored at ray 0 finds the optimal basin."""
+    ang = np.arccos(np.clip(rays @ axis, -1.0, 1.0))
+    if float(ang.max() - ang.min()) > CIRCLE_SPREAD:
+        return False
+    f1, f2 = orthonormal_basis(axis)
+    theta = np.sort(np.arctan2(rays @ f2, rays @ f1))
+    gaps = np.diff(np.concatenate([theta, [theta[0] + 2.0 * np.pi]]))
+    return float(np.max(np.abs(gaps - 2.0 * np.pi / len(theta)))) <= 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +209,19 @@ class SupportCone:
     @property
     def axis_quality(self) -> float:
         return self._axis[1]
+
+    @cached_property
+    def _anchor(self) -> np.ndarray:
+        """Tangent anchor about the canonical axis: the in-plane half of
+        the cone's registration frame."""
+        t = _tangent_anchor(self.rays, self._axis[0])
+        t.flags.writeable = False
+        return t
+
+    @cached_property
+    def _is_uniform_circle(self) -> bool:
+        """Whether the rays are an exact circle about the canonical axis."""
+        return _uniform_circle(self.rays, self._axis[0])
 
 
 def support_cone(

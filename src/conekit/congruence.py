@@ -12,7 +12,9 @@ O(3)), then polish the best grid candidates with an orthogonal-Procrustes
 iteration on symmetrized nearest-neighbour correspondences.  Pairs of
 exact circles with equal ray counts skip the grid: every planar rotation
 by a ray step is a symmetry, so the frame anchored at ray 0 alone lands in
-the optimal basin.  The search constants live in ``conekit.config``.
+the optimal basin.  Each cone's axis, tangent anchor and exact-circle flag
+are computed once and cached on the cone.  The search constants live in
+``conekit.config``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .config import (
     AXIS_QUALITY_FLOOR,
-    CIRCLE_SPREAD,
     GRID_MAX_RAYS,
     GRID_STEPS,
     GRID_TOP_CANDIDATES,
@@ -37,12 +38,12 @@ from .config import (
     PROBE_WINDOW,
     default_tol,
 )
-from .cones import SupportCone, canonical_axis
+from .cones import SupportCone, _tangent_anchor, canonical_axis  # noqa: F401 (re-exported frame anchor)
 from .errors import RankDeficientError
 from .geom import (
     RigidMotion,
+    cross3,
     hausdorff_distance,
-    orthonormal_basis,
     rotation_matrix,
     unit,
 )
@@ -119,21 +120,6 @@ def _icosahedral_rotations() -> tuple[np.ndarray, ...]:
     return tuple(np.round(e, 15) for e in elems)
 
 
-def _uniform_circle(cone: SupportCone) -> bool:
-    """Whether the extreme rays lie on a common circle about the canonical
-    axis at uniform angular spacing.  For such cones every planar rotation
-    by a ray step is a symmetry of the ray set, so the planar grid is
-    redundant and the frame anchored at ray 0 finds the optimal basin."""
-    axis = canonical_axis(cone)
-    ang = np.arccos(np.clip(cone.rays @ axis, -1.0, 1.0))
-    if float(ang.max() - ang.min()) > CIRCLE_SPREAD:
-        return False
-    f1, f2 = orthonormal_basis(axis)
-    theta = np.sort(np.arctan2(cone.rays @ f2, cone.rays @ f1))
-    gaps = np.diff(np.concatenate([theta, [theta[0] + 2.0 * np.pi]]))
-    return float(np.max(np.abs(gaps - 2.0 * np.pi / len(theta)))) <= 1e-9
-
-
 def _decimate_cyclic(rays: np.ndarray, cap: int) -> np.ndarray:
     n = len(rays)
     if n <= cap:
@@ -163,21 +149,6 @@ def _top_local_maxima(scores: np.ndarray, k: int) -> np.ndarray:
     return peaks[order[:k]]
 
 
-def _tangent_anchor(rays: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Equivariant in-plane reference: the tangential component of the mean
-    ray direction, or of ray 0 when the cone is too symmetric for the mean
-    to define one (circles and regular polygons about the axis)."""
-    m = rays.mean(axis=0)
-    t = m - float(m @ axis) * axis
-    if np.linalg.norm(t) <= 1e-6:
-        t = rays[0] - float(rays[0] @ axis) * axis
-    t = t / np.linalg.norm(t)
-    # second orthogonalization pass: normalizing a small component degrades
-    # orthogonality to the axis beyond frame tolerance
-    t = t - float(t @ axis) * axis
-    return t / np.linalg.norm(t)
-
-
 def _aligned_frames(ax1, t1, ax2, t2):
     """Axis-aligning base rotation plus the in-plane phase frame at axis2.
 
@@ -186,9 +157,10 @@ def _aligned_frames(ax1, t1, ax2, t2):
     motions of either cone and the reverse pair's frame is this one
     transposed; that is what makes the reported distance motion-invariant
     and symmetric."""
-    F1 = np.column_stack([ax1, t1, np.cross(ax1, t1)])
-    F2 = np.column_stack([ax2, t2, np.cross(ax2, t2)])
-    return F2 @ F1.T, t2, np.cross(ax2, t2)
+    F1 = np.column_stack([ax1, t1, cross3(ax1, t1)])
+    b2 = cross3(ax2, t2)
+    F2 = np.column_stack([ax2, t2, b2])
+    return F2 @ F1.T, t2, b2
 
 
 def _grid_candidates(
@@ -253,17 +225,19 @@ def _icp_refine(
         A = rays1 @ omega.T
         nn12 = (A @ rays2.T).argmax(axis=1)
         nn21 = (rays2 @ A.T).argmax(axis=1)
-        h = max(
-            np.linalg.norm(A - rays2[nn12], axis=1).max(),
-            np.linalg.norm(A[nn21] - rays2, axis=1).max(),
-        )
+        d12 = A - rays2[nn12]
+        d21 = A[nn21] - rays2
+        # np.linalg.norm(axis=1) is sqrt(add.reduce(d * d, 1)); sqrt is
+        # monotone and correctly rounded, so one root of the largest sum
+        # is the largest norm, bit for bit
+        h = np.sqrt(max(np.add.reduce(d12 * d12, 1).max(), np.add.reduce(d21 * d21, 1).max()))
         if h < best_h:
             best_h = float(h)
             best_omega = omega
         if it == max_iter:
             break
-        src = np.vstack([rays1, rays1[nn21]])
-        dst = np.vstack([rays2[nn12], rays2])
+        src = np.concatenate([rays1, rays1[nn21]])
+        dst = np.concatenate([rays2[nn12], rays2])
         omega_new = _procrustes_matrix(src, dst)
         if np.max(np.abs(omega_new - omega)) < ICP_CONVERGED:
             break
@@ -285,10 +259,10 @@ def congruence_distance(
     if tol is None:
         tol = default_tol(c1.is_sampled or c2.is_sampled)
     r1, r2 = c1.rays, c2.rays
-    ax1, ax2 = canonical_axis(c1), canonical_axis(c2)
-    base, f1, f2 = _aligned_frames(ax1, _tangent_anchor(r1, ax1), ax2, _tangent_anchor(r2, ax2))
+    ax2 = canonical_axis(c2)
+    base, f1, f2 = _aligned_frames(canonical_axis(c1), c1._anchor, ax2, c2._anchor)
 
-    if len(r1) == len(r2) and _uniform_circle(c1) and _uniform_circle(c2):
+    if len(r1) == len(r2) and c1._is_uniform_circle and c2._is_uniform_circle:
         # exact circles with equal ray counts: planar rotations by a ray
         # step are symmetries of both, and the frame already maps ray 0 into
         # the half-plane of ray 0; the reflected branch mirrors across it

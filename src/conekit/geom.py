@@ -31,6 +31,7 @@ __all__ = [
     "rotation_matrix",
     "minimal_rotation",
     "orthonormal_basis",
+    "cross3",
     "unit",
     "read_off",
     "read_off_vertices",
@@ -51,6 +52,15 @@ def as_point(p) -> np.ndarray:
     return arr
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array, rejecting NaN and infinite entries by
+    field name."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def unit(v) -> np.ndarray:
     """Normalize a vector; rejects near-zero input."""
     arr = np.asarray(v, dtype=float)
@@ -60,14 +70,23 @@ def unit(v) -> np.ndarray:
     return arr / n
 
 
+def cross3(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors, bit for bit ``np.cross(a, b)``: the
+    same products and differences on Python floats, without the array
+    machinery that dominates ``np.cross`` on single vectors."""
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def orthonormal_basis(normal) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic right-handed completion (u, v) of a unit normal n,
     with u x v = n."""
     n = unit(normal)
     helper = np.zeros(3)
     helper[int(np.argmin(np.abs(n)))] = 1.0
-    u = unit(np.cross(helper, n))
-    v = np.cross(n, u)
+    u = unit(cross3(helper, n))
+    v = cross3(n, u)
     return u, v
 
 
@@ -95,7 +114,7 @@ def minimal_rotation(a, b) -> np.ndarray:
     if c < -1.0 + 1e-12:
         axis, _ = orthonormal_basis(a)
         return rotation_matrix(axis, np.pi)
-    axis = unit(np.cross(a, b))
+    axis = unit(cross3(a, b))
     return rotation_matrix(axis, float(np.arccos(np.clip(c, -1.0, 1.0))))
 
 
@@ -124,7 +143,7 @@ class PlaneFrame:
             for j in range(i + 1, 3):
                 if abs(float(np.dot(trip[i], trip[j]))) > EPS_ORTHO:
                     raise ValueError("frame vectors must be pairwise orthogonal")
-        if np.max(np.abs(np.cross(self.basis_u, self.basis_v) - self.normal)) > 1e-10:
+        if np.max(np.abs(cross3(self.basis_u, self.basis_v) - self.normal)) > 1e-10:
             raise ValueError("frame must be right-handed: basis_u x basis_v = normal")
 
     @classmethod
@@ -285,7 +304,7 @@ class ConvexBody3:
 
     @classmethod
     def polytope(cls, vertices) -> "ConvexBody3":
-        verts = np.asarray(vertices, dtype=float)
+        verts = _finite("vertices", vertices)
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ValueError("polytope vertices must be an (n, 3) array")
         if len(verts) < 4:
@@ -310,24 +329,25 @@ class ConvexBody3:
     @classmethod
     def ball(cls, center, radius: float) -> "ConvexBody3":
         r = float(radius)
+        _finite("radius", r)
         if r <= 0:
             raise ValueError("ball radius must be positive")
-        return cls(kind="ball", center=_freeze(as_point(center)), radius=r)
+        return cls(kind="ball", center=_freeze(as_point(_finite("center", center))), radius=r)
 
     @classmethod
     def ellipsoid(cls, center, semi_axes, orientation=None) -> "ConvexBody3":
-        axes = np.asarray(semi_axes, dtype=float)
+        axes = _finite("semi_axes", semi_axes)
         if axes.shape != (3,) or np.any(axes <= 0):
             raise ValueError("ellipsoid needs three positive semi-axes")
         if orientation is None:
             om = np.eye(3)
         else:
-            om = np.asarray(orientation, dtype=float)
+            om = _finite("orientation", orientation)
             if om.shape != (3, 3) or np.max(np.abs(om.T @ om - np.eye(3))) > EPS_ORTHO:
                 raise ValueError("orientation must be orthogonal within 1e-12")
         return cls(
             kind="ellipsoid",
-            center=_freeze(as_point(center)),
+            center=_freeze(as_point(_finite("center", center))),
             semi_axes=_freeze(axes),
             orientation=_freeze(om),
         )

@@ -11,6 +11,7 @@ verified by a Hausdorff test at the working tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,16 +50,23 @@ class SymmetryAxis:
 class SymmetryReport:
     """Verified symmetry elements of a cone.
 
+    Mirror planes pass through ``apex`` and are stored by their unit
+    normals; the ``planes`` frames are built when first read.
     ``group_order`` counts rotations (identity included) plus reflections,
     or is ``"infinite"`` for right circular cones and cones where more
     rotation orders verify than the finite-group cutoff.
     """
 
     axes: tuple
-    planes: tuple
+    apex: np.ndarray
+    mirror_normals: tuple
     is_right_circular: bool
     half_angle: float | None
     group_order: int | str
+
+    @cached_property
+    def planes(self) -> tuple:
+        return tuple(PlaneFrame.from_normal(self.apex, n) for n in self.mirror_normals)
 
 
 def is_right_circular(cone: SupportCone, tol: float | None = None) -> tuple[bool, float | None]:
@@ -119,13 +127,10 @@ def detect_symmetries(cone: SupportCone, tol: float | None = None) -> SymmetryRe
             tol,
         ):
             mirrors = sorted(float((theta[0] + theta[j]) / 2.0 % np.pi) for j in range(n))
-            planes = tuple(
-                PlaneFrame.from_normal(cone.apex, -np.sin(c) * f1 + np.cos(c) * f2)
-                for c in mirrors
-            )
             return SymmetryReport(
                 axes=(SymmetryAxis(point=np.array(cone.apex), direction=axis, order=n),),
-                planes=planes,
+                apex=cone.apex,
+                mirror_normals=tuple(-np.sin(c) * f1 + np.cos(c) * f2 for c in mirrors),
                 is_right_circular=True,
                 half_angle=half,
                 group_order=INFINITE,
@@ -164,18 +169,16 @@ def detect_symmetries(cone: SupportCone, tol: float | None = None) -> SymmetryRe
     if n_rot >= 2:
         axes.append(SymmetryAxis(point=np.array(cone.apex), direction=axis, order=n_rot))
 
-    planes = tuple(
-        PlaneFrame.from_normal(cone.apex, -np.sin(c) * f1 + np.cos(c) * f2)
-        for c in sorted(verified_mirror)
-    )
+    normals = tuple(-np.sin(c) * f1 + np.cos(c) * f2 for c in sorted(verified_mirror))
 
     if circ or len(verified_rot) >= _INFINITE_ROTATIONS:
         group: int | str = INFINITE
     else:
-        group = n_rot + len(planes)
+        group = n_rot + len(normals)
     return SymmetryReport(
         axes=tuple(axes),
-        planes=planes,
+        apex=cone.apex,
+        mirror_normals=normals,
         is_right_circular=circ,
         half_angle=half,
         group_order=group,
@@ -210,6 +213,6 @@ def case_split(report: SymmetryReport) -> str:
         return "right_circular"
     if report.axes:
         return "axis_of_symmetry"
-    if report.planes:
+    if report.mirror_normals:
         return "plane_only_finite"
     return "trivial"

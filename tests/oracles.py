@@ -260,3 +260,52 @@ def dense_arc_centroid(rays: np.ndarray, per_arc: int = 20000) -> np.ndarray:
         total += pts.sum(axis=0) * (gamma / per_arc)
         length += gamma
     return total / np.linalg.norm(total)
+
+
+def _np_cross_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, u, v): the unit normal and its right-handed completion, built
+    as ``orthonormal_basis`` builds it but with ``np.cross``."""
+    n = normal / np.linalg.norm(normal)
+    helper = np.zeros(3)
+    helper[int(np.argmin(np.abs(n)))] = 1.0
+    u = np.cross(helper, n)
+    u = u / np.linalg.norm(u)
+    return n, u, np.cross(n, u)
+
+
+def mirror_planes_eager(apex, rays, axis, tol, sampled_circle: bool) -> list[tuple]:
+    """(origin, normal, basis_u, basis_v) of every verified mirror plane of
+    a cone, built eagerly with ``np.cross`` frames in sorted angle order:
+    the planes ``detect_symmetries`` reported as frames before it stored
+    only their normals.  ``sampled_circle`` marks a right circular cone
+    with one ray per silhouette sample, which has a mirror through every
+    ray-pair bisector once the generators verify."""
+    n = len(rays)
+    _, f1, f2 = _np_cross_frame(axis)
+    theta = np.arctan2(rays @ f2, rays @ f1)
+
+    def mirror_verifies(c):
+        m = -np.sin(c) * f1 + np.cos(c) * f2
+        return hausdorff(rays @ (np.eye(3) - 2.0 * np.outer(m, m)).T, rays) <= tol
+
+    def frame(c):
+        return (np.asarray(apex, float), *_np_cross_frame(-np.sin(c) * f1 + np.cos(c) * f2))
+
+    if sampled_circle:
+        x, y, z = axis
+        K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        step = 2.0 * np.pi / n
+        rot = np.eye(3) + np.sin(step) * K + (1.0 - np.cos(step)) * (K @ K)
+        if hausdorff(rays @ rot.T, rays) <= tol and mirror_verifies(float(theta[0] % np.pi)):
+            return [frame(c) for c in sorted(float((theta[0] + theta[j]) / 2.0 % np.pi) for j in range(n))]
+    height = rays @ axis
+    found: list[float] = []
+    for j in range(n):
+        if abs(height[j] - height[0]) > tol:
+            continue
+        c = float((theta[0] + theta[j]) / 2.0 % np.pi)
+        if any(min(abs(c - s), np.pi - abs(c - s)) < 1e-10 for s in found):
+            continue
+        if mirror_verifies(c):
+            found.append(c)
+    return [frame(c) for c in sorted(found)]

@@ -195,6 +195,63 @@ def test_invalid_scene_values_exit_three(tmp_path, changes, capsys):
     assert "scene invalid" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+CUBE_VERTICES = CUBE_SCENE["inner"]["vertices"]
+
+
+def _ellipsoid(**fields):
+    return {"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1, 1, 1], **fields}
+
+
+@pytest.mark.parametrize(
+    "changes,field",
+    [
+        pytest.param({"inner.radius": NAN}, "radius", id="ball-radius-nan"),
+        pytest.param({"inner.radius": INF}, "radius", id="ball-radius-inf"),
+        pytest.param({"inner.center": [0, 0, NAN]}, "center", id="ball-center-nan"),
+        pytest.param({"outer.center": [INF, 0, 0]}, "center", id="outer-ball-center-inf"),
+        pytest.param({"inner": _ellipsoid(semi_axes=[1, 1, INF])}, "semi_axes", id="ellipsoid-axes-inf"),
+        pytest.param({"inner": _ellipsoid(semi_axes=[1, NAN, 1])}, "semi_axes", id="ellipsoid-axes-nan"),
+        pytest.param({"inner": _ellipsoid(center=[NAN, 0, 0])}, "center", id="ellipsoid-center-nan"),
+        pytest.param(
+            {"inner": _ellipsoid(orientation=[[1, 0, 0], [0, 1, 0], [0, 0, NAN]])},
+            "orientation",
+            id="ellipsoid-orientation-nan",
+        ),
+        pytest.param(
+            {"inner": {"kind": "polytope", "vertices": CUBE_VERTICES[:-1] + [[1, 1, NAN]]}},
+            "vertices",
+            id="polytope-vertex-nan",
+        ),
+        pytest.param(
+            {"inner": {"kind": "polytope", "vertices": CUBE_VERTICES[:-1] + [[INF, 1, 1]]}},
+            "vertices",
+            id="polytope-vertex-inf",
+        ),
+    ],
+)
+def test_non_finite_body_values_named_exit_three(tmp_path, changes, field, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_six_apex_ball(**changes)))
+    assert main(["verify", "--scene", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "scene invalid" in err and f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize("scene", [BALL_SCENE, CUBE_SCENE], ids=["ball", "cube"])
+def test_verify_jobs_two_matches_serial(tmp_path, scene):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    reports = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.json"
+        code = main(["verify", "--scene", str(path), "--jobs", str(jobs), "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["config"].pop("jobs") == jobs
+        reports.append((code, json.dumps(report, sort_keys=True)))
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--tol", "nan"], ["--tol", "-1"]], ids=" ".join)
 def test_invalid_overrides_exit_three(tmp_path, flags, capsys):
     path = tmp_path / "scene.json"

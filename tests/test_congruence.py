@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conekit import cones as cones_module
 from conekit.congruence import (
     congruence_distance,
     continuity_probe,
@@ -10,6 +13,7 @@ from conekit.congruence import (
 from conekit.cones import SupportCone, motion_image, support_cone
 from conekit.errors import RankDeficientError
 from conekit.geom import ConvexBody3, hausdorff_distance, unit
+from conekit.harness import load_scene, scene_cones
 from conekit.symmetry import detect_symmetries
 from conekit.topology import meridian_frame
 from conftest import random_cone, random_motion, random_rotation
@@ -235,6 +239,29 @@ class TestPairwiseMatrix:
     def test_needs_two(self, rng):
         with pytest.raises(ValueError):
             pairwise_congruence_matrix([random_cone(rng)])
+
+    @pytest.mark.parametrize("scene", ["ball_r1_R3", "cube_R4"])
+    def test_registration_frames_computed_once_per_cone(self, monkeypatch, scene):
+        # the tangent anchor and the exact-circle flag depend on one cone
+        # only, so n cones need n of each, not one per cone per pair
+        path = Path(__file__).resolve().parents[1] / "scenes" / f"{scene}.json"
+        _, cones = scene_cones(load_scene(path), indices=range(12))
+        counts = {"_tangent_anchor": 0, "_uniform_circle": 0}
+        for name in counts:
+            real = getattr(cones_module, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(cones_module, name, counted)
+        pairwise_congruence_matrix(cones)
+        assert counts["_tangent_anchor"] == len(cones)
+        # the flag is read only for equal ray counts, so polytope cones may
+        # skip it; every ball cone has the same count
+        assert 0 < counts["_uniform_circle"] <= len(cones)
+        if scene == "ball_r1_R3":
+            assert counts["_uniform_circle"] == len(cones)
 
 
 class TestContinuityProbe:

@@ -1,9 +1,12 @@
-"""The registration and Hausdorff kernels against independent references.
+"""The registration, Hausdorff and frame kernels against independent
+references.
 
 The library selects nearest neighbours by inner products and never imports
-scipy for them, and scores the planar grid in slabs; these tests keep
-scipy's ``cdist`` and ``polar`` and the whole-tensor grid scoring as the
-reference routes and require the same bits."""
+scipy for them, scores the planar grid in slabs, takes cross products of
+single vectors on Python floats and builds symmetry planes when they are
+read; these tests keep scipy's ``cdist`` and ``polar``, the whole-tensor
+grid scoring, ``np.cross`` and eagerly built frames as the reference
+routes and require the same bits."""
 
 import os
 import subprocess
@@ -15,12 +18,20 @@ import pytest
 from scipy.linalg import polar
 
 import conekit
-from conekit.config import GRID_MAX_RAYS, GRID_STEPS, GRID_TOP_CANDIDATES, ICP_MAX_ITER, POLISH_ITER
-from conekit.cones import canonical_axis, support_cone
+from conekit.config import (
+    GRID_MAX_RAYS,
+    GRID_STEPS,
+    GRID_TOP_CANDIDATES,
+    ICP_MAX_ITER,
+    POLISH_ITER,
+    default_tol,
+)
+from conekit.cones import SupportCone, canonical_axis, support_cone
 from conekit.congruence import _aligned_frames, _grid_candidates, _icp_refine, _tangent_anchor
-from conekit.geom import ConvexBody3, RigidMotion, compose, hausdorff_distance
-from conftest import random_orthogonal, random_rotation
-from oracles import grid_candidates_dense, hausdorff, icp_refine_cdist
+from conekit.geom import ConvexBody3, PlaneFrame, RigidMotion, compose, cross3, hausdorff_distance
+from conekit.symmetry import detect_symmetries, is_right_circular
+from conftest import random_cone, random_orthogonal, random_rotation
+from oracles import grid_candidates_dense, hausdorff, icp_refine_cdist, mirror_planes_eager
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,6 +101,72 @@ def test_compose_reprojection_matches_scipy_polar(rng):
         acc = compose(phi, acc)
     assert acc.steps == 0
     assert np.array_equal(acc.omega, polar(raw)[0])
+
+
+def test_cross3_matches_np_cross_bitwise(rng):
+    basis = list(np.eye(3)) + list(-np.eye(3))
+    for _ in range(5000):
+        a = 10.0 ** rng.uniform(-8, 8) * rng.standard_normal(3)
+        b = 10.0 ** rng.uniform(-8, 8) * rng.standard_normal(3)
+        if rng.random() < 0.2:
+            a = basis[int(rng.integers(len(basis)))]
+        if rng.random() < 0.1:
+            b = a
+        assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+def _symmetry_test_cones(rng):
+    cube = ConvexBody3.polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    ball = ConvexBody3.ball([0, 0, 0], 1.0)
+    ellipsoid = ConvexBody3.ellipsoid([0, 0, 0], [2, 1, 1])
+    cones = [
+        support_cone(cube, [0, 0, 5]),
+        support_cone(cube, [3.0, 0.5, 4.0]),
+        support_cone(ball, [0, 0, 3]),
+        support_cone(ball, [1.0, -2.0, 2.5], samples=64),
+        support_cone(ellipsoid, [0, 0, 4], samples=64),
+        support_cone(ellipsoid, [3.0, 1.0, 2.0], samples=64),
+    ]
+    for m in range(3, 9):
+        ang = 2 * np.pi * np.arange(m) / m
+        cones.append(SupportCone.from_rays([0, 0, 0], np.column_stack([0.5 * np.cos(ang), 0.5 * np.sin(ang), -np.ones(m)])))
+    return cones + [random_cone(rng) for _ in range(10)]
+
+
+def test_symmetry_planes_equal_eagerly_built_frames(rng):
+    n_planes = 0
+    for cone in _symmetry_test_cones(rng):
+        tol = default_tol(cone.is_sampled)
+        report = detect_symmetries(cone, tol)
+        sampled_circle = (
+            is_right_circular(cone, tol)[0] and cone.is_sampled and len(cone.rays) == cone.source_samples
+        )
+        ref = mirror_planes_eager(cone.apex, cone.rays, canonical_axis(cone), tol, sampled_circle)
+        assert len(report.planes) == len(report.mirror_normals) == len(ref)
+        for plane, fields in zip(report.planes, ref):
+            for name, want in zip(("origin", "normal", "basis_u", "basis_v"), fields):
+                assert getattr(plane, name).tobytes() == want.tobytes(), name
+        n_planes += len(ref)
+    assert n_planes > 256
+
+
+def test_detect_symmetries_builds_plane_frames_only_on_read(monkeypatch):
+    cones = [
+        support_cone(ConvexBody3.ball([0, 0, 0], 1.0), [0, 0, 3]),
+        support_cone(ConvexBody3.polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]), [0, 0, 5]),
+    ]
+    calls = []
+    from_normal = PlaneFrame.from_normal.__func__
+    monkeypatch.setattr(
+        PlaneFrame, "from_normal", classmethod(lambda cls, o, n: calls.append(1) or from_normal(cls, o, n))
+    )
+    for cone, n_mirrors in zip(cones, (256, 4)):
+        calls.clear()
+        report = detect_symmetries(cone)
+        assert calls == [] and len(report.mirror_normals) == n_mirrors
+        planes = report.planes
+        assert len(calls) == len(planes) == n_mirrors
+        assert report.planes is planes and len(calls) == n_mirrors
 
 
 def test_cli_import_and_smooth_scene_load_import_no_scipy():
