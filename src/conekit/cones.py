@@ -254,8 +254,11 @@ def support_cone(
         raise ValueError("smooth bodies need at least 3 silhouette samples")
     ainv = body.inv_scale_matrix()
     scale = body.scale_matrix()
-    z0 = ainv @ (apex - body.center)
-    nz = float(np.linalg.norm(z0))
+    with np.errstate(over="ignore"):
+        z0 = ainv @ (apex - body.center)
+        nz = float(np.linalg.norm(z0))
+    if not np.isfinite(nz):
+        raise ValueError("the apex distance in units of the body's semi-axes overflows")
     if float(np.min(body.semi_axes) if body.kind == "ellipsoid" else body.radius) * (nz - 1.0) <= apex_margin:
         raise ApexInsideBodyError(
             "apex lies inside the body or within margin of its boundary"

@@ -210,10 +210,11 @@ def _icp_refine(
     rays2: np.ndarray,
     omega0: np.ndarray,
     max_iter: int = ICP_MAX_ITER,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, bool]:
     """Polish a candidate by orthogonal Procrustes on the union of both
     directed nearest-neighbour matchings (symmetric in the two cones).
-    Returns the best Hausdorff residual seen and its orthogonal map.
+    Returns the best Hausdorff residual seen, its orthogonal map, and
+    whether the iteration stopped on ICP_CONVERGED rather than ``max_iter``.
 
     The rays are unit vectors, so a ray's nearest neighbour is the one of
     largest inner product; distances are taken from the differences of the
@@ -240,9 +241,9 @@ def _icp_refine(
         dst = np.concatenate([rays2[nn12], rays2])
         omega_new = _procrustes_matrix(src, dst)
         if np.max(np.abs(omega_new - omega)) < ICP_CONVERGED:
-            break
+            return best_h, best_omega, True
         omega = omega_new
-    return best_h, best_omega
+    return best_h, best_omega, False
 
 
 def congruence_distance(
@@ -277,13 +278,17 @@ def congruence_distance(
     # short polish on every candidate, full convergence on the winner only
     best_h = np.inf
     best_omega = candidates[0]
+    converged = False
     for cand in candidates:
-        h, om = _icp_refine(r1, r2, cand, max_iter=POLISH_ITER)
+        h, om, conv = _icp_refine(r1, r2, cand, max_iter=POLISH_ITER)
+        if h < best_h:
+            best_h, best_omega, converged = h, om, conv
+    # a winner whose short polish converged would replay the same iterates
+    # from best_omega and stop at the same one, so it is already final
+    if not converged:
+        h, om, _ = _icp_refine(r1, r2, best_omega)
         if h < best_h:
             best_h, best_omega = h, om
-    h, om = _icp_refine(r1, r2, best_omega)
-    if h < best_h:
-        best_h, best_omega = h, om
     u, _, vh = np.linalg.svd(best_omega)
     best_omega = u @ vh  # polar factor: snaps accumulated round-off back onto O(3)
     witness = RigidMotion(omega=best_omega, a=c2.apex - best_omega @ c1.apex)

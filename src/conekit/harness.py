@@ -81,8 +81,8 @@ class Scene:
             raise SceneInvalidError(f"unknown sampling strategy {self.strategy!r}")
         if not (is_integer(self.count) and self.count >= 2):
             raise SceneInvalidError(f"apex count must be an integer >= 2, got {self.count!r}")
-        if not is_integer(self.seed):
-            raise SceneInvalidError(f"sampling seed must be an integer, got {self.seed!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise SceneInvalidError(f"sampling seed must be an integer >= 0, got {self.seed!r}")
         if not is_positive_number(self.containment_margin):
             raise SceneInvalidError("containment margin must be a finite number > 0")
         origin = self.inner.centroid() if self.origin is None else as_point(self.origin)
@@ -193,15 +193,19 @@ def sample_boundary(body: ConvexBody3, n: int, seed: int = 0,
 
 
 def scene_apexes(scene: Scene) -> np.ndarray:
-    apexes = sample_boundary(
-        scene.outer, scene.count, scene.seed, scene.strategy, scene.origin
-    )
-    for x in apexes:
-        if scene.inner.surface_margin(x) < scene.containment_margin:
-            raise SceneInvalidError(
-                "sampled apex is not outside the inner body by the containment margin",
-                offending_sample=x,
-            )
+    # extreme but finite scales overflow here; the checks below name them
+    with np.errstate(all="ignore"):
+        apexes = sample_boundary(
+            scene.outer, scene.count, scene.seed, scene.strategy, scene.origin
+        )
+        if not np.all(np.isfinite(apexes)):
+            raise SceneInvalidError("apexes on the outer body are not finite: its size overflows double precision")
+        for x in apexes:
+            if scene.inner.surface_margin(x) < scene.containment_margin:
+                raise SceneInvalidError(
+                    "sampled apex is not outside the inner body by the containment margin",
+                    offending_sample=x,
+                )
     return apexes
 
 
@@ -216,10 +220,14 @@ def scene_cones(scene: Scene, indices=None) -> tuple[np.ndarray, list[SupportCon
     for i in indices:
         if not 0 <= i < len(apexes):
             raise SceneInvalidError(f"apex index {i} out of range for {len(apexes)} apexes")
-    cones = [
-        support_cone(scene.inner, apexes[i], samples=scene.config.samples_per_cone)
-        for i in indices
-    ]
+    cones = []
+    for i in indices:
+        try:
+            cones.append(support_cone(scene.inner, apexes[i], samples=scene.config.samples_per_cone))
+        except ValueError as exc:
+            # a valid scene whose scales leave the cone unresolved in double
+            # precision: overflow, or too few distinct rays
+            raise SceneInvalidError(f"support cone at apex {i} cannot be resolved in double precision: {exc}") from exc
     return apexes, cones
 
 

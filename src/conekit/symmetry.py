@@ -50,19 +50,27 @@ class SymmetryAxis:
 class SymmetryReport:
     """Verified symmetry elements of a cone.
 
-    Mirror planes pass through ``apex`` and are stored by their unit
-    normals; the ``planes`` frames are built when first read.
-    ``group_order`` counts rotations (identity included) plus reflections,
-    or is ``"infinite"`` for right circular cones and cones where more
-    rotation orders verify than the finite-group cutoff.
+    Mirror planes pass through ``apex`` and contain the axis; each is
+    stored by its angle in the plane of ``basis`` (two unit vectors
+    orthogonal to the axis), in ascending order.  The ``mirror_normals``
+    and the ``planes`` frames are built when first read.  ``group_order``
+    counts rotations (identity included) plus reflections, or is
+    ``"infinite"`` for right circular cones and cones where more rotation
+    orders verify than the finite-group cutoff.
     """
 
     axes: tuple
     apex: np.ndarray
-    mirror_normals: tuple
+    mirror_angles: tuple
+    basis: tuple
     is_right_circular: bool
     half_angle: float | None
     group_order: int | str
+
+    @cached_property
+    def mirror_normals(self) -> tuple:
+        f1, f2 = self.basis
+        return tuple(-np.sin(c) * f1 + np.cos(c) * f2 for c in self.mirror_angles)
 
     @cached_property
     def planes(self) -> tuple:
@@ -98,12 +106,74 @@ def _verify(cone_rays: np.ndarray, omega: np.ndarray, tol: float) -> bool:
     return hausdorff_distance(cone_rays @ omega.T, cone_rays) <= tol
 
 
+def _bound_decisions(
+    frame_rays: np.ndarray, angles: np.ndarray, shifts: np.ndarray, mirror: bool, tol: float
+) -> np.ndarray:
+    """Decide whether ``hausdorff_distance(g(rays), rays) <= tol`` for a
+    batch of candidate maps g from two O(n) bounds on that distance.
+
+    ``frame_rays`` holds the unit rays in the cone frame (f1, f2, axis).
+    Candidate k is the rotation about the axis by ``angles[k]`` or, when
+    ``mirror``, the reflection in the plane through the axis at angle
+    ``angles[k]``; both keep heights.  Upper bound: pairing ray i with ray
+    ``shifts[k] + i`` (rotation) or ``shifts[k] - i`` (mirror), mod n, is a
+    bijection of the rays, so its largest paired distance bounds both
+    directed distances.  Lower bound: the distance from the images of a few
+    probe rays under g and g^-1 to their nearest rays.  Returns 1 where the
+    distance is at most ``tol``, -1 where it exceeds ``tol`` and 0 where the
+    bounds straddle ``tol``, so that only the distance can decide.
+    """
+    # Rounding margin.  Every coordinate, difference and lifted product
+    # here and in hausdorff_distance is of unit rays, a few units in size,
+    # so each rounds by well under 1e-14.  hausdorff_distance selects
+    # nearest rays by lifted products, so the ray it selects can be farther
+    # than the nearest by that much in squared distance: acceptance keeps
+    # the margin in squared distance.  A selected ray is never nearer than
+    # the nearest, so rejection keeps it in distance.
+    m = 1e-12
+    n = len(frame_rays)
+    x, y, z = frame_rays.T
+    index = np.arange(n)
+    probes = np.unique((2 * np.arange(8) + 1) * n // 16)
+    decisions = np.zeros(len(angles), dtype=np.int8)
+    # candidates x rays entries per array, whatever the ray count
+    rows = max(1, 8192 // n)
+    for lo in range(0, len(angles), rows):
+        a = angles[lo : lo + rows, None]
+        if mirror:
+            c, s = np.cos(2.0 * a), np.sin(2.0 * a)
+            maps = [(c, s, s, -c)]
+        else:
+            c, s = np.cos(a), np.sin(a)
+            maps = [(c, -s, s, c), (c, s, -s, c)]
+        m11, m12, m21, m22 = maps[0]
+        sigma = (shifts[lo : lo + rows, None] + (-index if mirror else index)) % n
+        dx = m11 * x + m12 * y - x[sigma]
+        dy = m21 * x + m22 * y - y[sigma]
+        dz = z - z[sigma]
+        accept = (dx * dx + dy * dy + dz * dz).max(axis=1) <= tol * tol - m
+        decisions[lo : lo + len(a)][accept] = 1
+        live = np.flatnonzero(~accept)
+        for p, (m11, m12, m21, m22) in [(p, mp) for p in probes for mp in maps]:
+            if not len(live):
+                break
+            px = m11[live] * x[p] + m12[live] * y[p]
+            py = m21[live] * x[p] + m22[live] * y[p]
+            dx, dy, dz = px - x, py - y, z[p] - z
+            far = np.sqrt((dx * dx + dy * dy + dz * dz).min(axis=1)) > tol + m
+            decisions[lo + live[far]] = -1
+            live = live[~far]
+    return decisions
+
+
 def detect_symmetries(cone: SupportCone, tol: float | None = None) -> SymmetryReport:
     """Enumerate and verify rotation axes and mirror planes of a cone.
 
     Rotation candidates come from mapping the first ray onto every ray
     (complete: a symmetry permutes the extreme rays); mirror candidates
-    are the planes through the axis bisecting each such ray pair.
+    are the planes through the axis bisecting each such ray pair.  Each
+    candidate is decided by ``_bound_decisions``, and by its Hausdorff
+    distance only where the bounds straddle ``tol``.
     """
     if tol is None:
         tol = default_tol(cone.is_sampled)
@@ -111,26 +181,37 @@ def detect_symmetries(cone: SupportCone, tol: float | None = None) -> SymmetryRe
     n = len(rays)
     axis = canonical_axis(cone)
     f1, f2 = orthonormal_basis(axis)
-    theta = np.arctan2(rays @ f2, rays @ f1)
-    height = rays @ axis
+    x, y, height = rays @ f1, rays @ f2, rays @ axis
+    theta = np.arctan2(y, x)
+    frame_rays = np.column_stack([x, y, height])
+
+    def holds(decision: int, angle: float, mirror: bool) -> bool:
+        # the bounds' decision, or the distance where they straddle tol
+        if decision:
+            return decision > 0
+        if mirror:
+            normal = -np.sin(angle) * f1 + np.cos(angle) * f2
+            return _verify(rays, np.eye(3) - 2.0 * np.outer(normal, normal), tol)
+        return _verify(rays, rotation_matrix(axis, angle), tol)
 
     circ, half = is_right_circular(cone, tol)
     n_samples = cone.source_samples
     if circ and cone.is_sampled and n == n_samples:
         # a sampled exact circle: uniform parameter sampling makes the full
-        # dihedral sample group explicit, so spot-verify its generators
+        # dihedral sample group explicit, so spot-verify its generators; the
+        # step rotation pairs ray i with ray i + 1 or i - 1 by winding, and
+        # either pairing bounds its distance
         step = 2.0 * np.pi / n
         c0 = float(theta[0] % np.pi)
-        if _verify(rays, rotation_matrix(axis, step), tol) and _verify(
-            rays,
-            np.eye(3) - 2.0 * np.outer(-np.sin(c0) * f1 + np.cos(c0) * f2, -np.sin(c0) * f1 + np.cos(c0) * f2),
-            tol,
+        step_ok = _bound_decisions(frame_rays, np.array([step, step]), np.array([1, -1]), False, tol).max()
+        if holds(step_ok, step, False) and holds(
+            _bound_decisions(frame_rays, np.array([c0]), np.array([0]), True, tol)[0], c0, True
         ):
-            mirrors = sorted(float((theta[0] + theta[j]) / 2.0 % np.pi) for j in range(n))
             return SymmetryReport(
                 axes=(SymmetryAxis(point=np.array(cone.apex), direction=axis, order=n),),
                 apex=cone.apex,
-                mirror_normals=tuple(-np.sin(c) * f1 + np.cos(c) * f2 for c in mirrors),
+                mirror_angles=tuple(np.sort((theta[0] + theta) / 2.0 % np.pi).tolist()),
+                basis=(f1, f2),
                 is_right_circular=True,
                 half_angle=half,
                 group_order=INFINITE,
@@ -138,30 +219,26 @@ def detect_symmetries(cone: SupportCone, tol: float | None = None) -> SymmetryRe
 
     # a stabilizer element preserves heights along the axis, so a candidate
     # mapping ray 0 to ray j is only possible when their heights agree
-    compatible = np.abs(height - height[0]) <= tol
+    js = np.flatnonzero(np.abs(height - height[0]) <= tol)
+    rot_angles = (theta[js] - theta[0]) % (2.0 * np.pi)
+    mirror_angles = (theta[0] + theta[js]) / 2.0 % np.pi
+    rot_decisions = _bound_decisions(frame_rays, rot_angles, js, False, tol)
+    mirror_decisions = _bound_decisions(frame_rays, mirror_angles, js, True, tol)
 
     verified_rot: list[float] = []
-    for j in range(1, n):
-        if not compatible[j]:
-            continue
-        t = float((theta[j] - theta[0]) % (2.0 * np.pi))
-        if t < 1e-12 or abs(t - 2.0 * np.pi) < 1e-12:
+    for j, t, decision in zip(js.tolist(), rot_angles.tolist(), rot_decisions.tolist()):
+        if j == 0 or t < 1e-12 or abs(t - 2.0 * np.pi) < 1e-12:
             continue
         if any(abs(t - s) < 1e-10 for s in verified_rot):
             continue
-        if _verify(rays, rotation_matrix(axis, t), tol):
+        if holds(decision, t, False):
             verified_rot.append(t)
 
     verified_mirror: list[float] = []
-    for j in range(n):
-        if not compatible[j]:
-            continue
-        c = float((theta[0] + theta[j]) / 2.0 % np.pi)
+    for c, decision in zip(mirror_angles.tolist(), mirror_decisions.tolist()):
         if any(min(abs(c - s), np.pi - abs(c - s)) < 1e-10 for s in verified_mirror):
             continue
-        normal = -np.sin(c) * f1 + np.cos(c) * f2
-        omega = np.eye(3) - 2.0 * np.outer(normal, normal)
-        if _verify(rays, omega, tol):
+        if holds(decision, c, True):
             verified_mirror.append(c)
 
     axes: list[SymmetryAxis] = []
@@ -169,16 +246,15 @@ def detect_symmetries(cone: SupportCone, tol: float | None = None) -> SymmetryRe
     if n_rot >= 2:
         axes.append(SymmetryAxis(point=np.array(cone.apex), direction=axis, order=n_rot))
 
-    normals = tuple(-np.sin(c) * f1 + np.cos(c) * f2 for c in sorted(verified_mirror))
-
     if circ or len(verified_rot) >= _INFINITE_ROTATIONS:
         group: int | str = INFINITE
     else:
-        group = n_rot + len(normals)
+        group = n_rot + len(verified_mirror)
     return SymmetryReport(
         axes=tuple(axes),
         apex=cone.apex,
-        mirror_normals=normals,
+        mirror_angles=tuple(sorted(verified_mirror)),
+        basis=(f1, f2),
         is_right_circular=circ,
         half_angle=half,
         group_order=group,
@@ -213,6 +289,6 @@ def case_split(report: SymmetryReport) -> str:
         return "right_circular"
     if report.axes:
         return "axis_of_symmetry"
-    if report.mirror_normals:
+    if report.mirror_angles:
         return "plane_only_finite"
     return "trivial"

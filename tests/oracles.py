@@ -53,9 +53,11 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
 def icp_refine_cdist(rays1, rays2, omega0, max_iter, converged=1e-12):
     """The orthogonal-Procrustes polish with nearest neighbours from a full
-    cdist matrix: the reference for ``congruence._icp_refine``."""
+    cdist matrix: the reference for ``congruence._icp_refine``, returning
+    (residual, map, whether the iteration stopped on ``converged``)."""
     omega = omega0
     best_h, best_omega = np.inf, omega0
+    stopped = False
     for _ in range(max_iter):
         D = cdist(rays1 @ omega.T, rays2)
         h = max(D.min(axis=1).max(), D.min(axis=0).max())
@@ -66,12 +68,13 @@ def icp_refine_cdist(rays1, rays2, omega0, max_iter, converged=1e-12):
         U, _, Vt = np.linalg.svd(src.T @ dst)
         omega_new = Vt.T @ U.T
         if np.max(np.abs(omega_new - omega)) < converged:
+            stopped = True
             break
         omega = omega_new
     h = hausdorff(rays1 @ omega.T, rays2)
     if h < best_h:
         best_h, best_omega = h, omega
-    return best_h, best_omega
+    return best_h, best_omega, stopped
 
 
 def grid_candidates_dense(rays1, rays2, axis2, base, f1, f2, steps=720, max_rays=24, top=2):

@@ -238,6 +238,39 @@ def test_non_finite_body_values_named_exit_three(tmp_path, changes, field, capsy
     assert "scene invalid" in err and f"{field} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "changes,cause",
+    [
+        pytest.param({"outer.radius": 1e300}, "apexes on the outer body are not finite", id="outer-radius-1e300"),
+        pytest.param({"inner.radius": 1e-300}, "apex distance in units of the body's semi-axes overflows", id="inner-radius-1e-300"),
+        pytest.param(
+            {"inner": {"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1e-200, 1, 1]}},
+            "apex distance in units of the body's semi-axes overflows",
+            id="ellipsoid-axis-1e-200",
+        ),
+        pytest.param({"inner.radius": 1e-30}, "need at least 3 distinct directions", id="inner-radius-1e-30"),
+    ],
+)
+@pytest.mark.parametrize("command", [["verify"], ["symmetry", "--apex", "0"]], ids=["verify", "symmetry"])
+def test_extreme_finite_scales_named_exit_three(tmp_path, changes, cause, command, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_six_apex_ball(**changes)))
+    assert main([*command, "--scene", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scene invalid:") and cause in err
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], []], ids=["flag", "scene"])
+def test_negative_seed_exit_three(tmp_path, flags, capsys):
+    scene = _six_apex_ball(**{"sampling.strategy": "random"})
+    if not flags:
+        scene["sampling"]["seed"] = -1
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert main(["verify", "--scene", str(path), *flags]) == 3
+    assert "sampling seed must be an integer >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scene", [BALL_SCENE, CUBE_SCENE], ids=["ball", "cube"])
 def test_verify_jobs_two_matches_serial(tmp_path, scene):
     path = tmp_path / "scene.json"

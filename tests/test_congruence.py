@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conekit import cones as cones_module
+from conekit import congruence as congruence_module
+from conekit.config import POLISH_ITER
 from conekit.congruence import (
     congruence_distance,
     continuity_probe,
@@ -262,6 +264,34 @@ class TestPairwiseMatrix:
         assert 0 < counts["_uniform_circle"] <= len(cones)
         if scene == "ball_r1_R3":
             assert counts["_uniform_circle"] == len(cones)
+
+    def test_converged_winner_is_not_polished_again(self, monkeypatch):
+        # a ball pair has two candidates, and the winner's short polish
+        # converges, so the full-length polish of the winner is skipped
+        path = Path(__file__).resolve().parents[1] / "scenes" / "ball_r1_R3.json"
+        _, (c1, c2) = scene_cones(load_scene(path), indices=[0, 7])
+        real = congruence_module._icp_refine
+        calls = []
+        monkeypatch.setattr(
+            congruence_module, "_icp_refine", lambda *a, **k: calls.append(k) or real(*a, **k)
+        )
+        congruence_distance(c1, c2)
+        assert len(calls) == 2 and all(k == {"max_iter": POLISH_ITER} for k in calls)
+
+    @pytest.mark.parametrize("scene", ["ball_r1_R3", "cube_R4"])
+    def test_skipped_final_polish_changes_no_bit(self, monkeypatch, scene):
+        # replaying a converged polish from its best iterate cannot improve
+        # it: forcing the final polish must give the same distance and map
+        path = Path(__file__).resolve().parents[1] / "scenes" / f"{scene}.json"
+        _, cones = scene_cones(load_scene(path), indices=range(8))
+        pairs = [(a, b) for i, a in enumerate(cones) for b in cones[i + 1 :]]
+        skipped = [congruence_distance(a, b) for a, b in pairs]
+        real = congruence_module._icp_refine
+        monkeypatch.setattr(congruence_module, "_icp_refine", lambda *a, **k: (*real(*a, **k)[:2], False))
+        for (a, b), res in zip(pairs, skipped):
+            forced = congruence_distance(a, b)
+            assert forced.distance == res.distance
+            assert forced.witness.omega.tobytes() == res.witness.omega.tobytes()
 
 
 class TestContinuityProbe:

@@ -29,7 +29,7 @@ from conekit.config import (
 from conekit.cones import SupportCone, canonical_axis, support_cone
 from conekit.congruence import _aligned_frames, _grid_candidates, _icp_refine, _tangent_anchor
 from conekit.geom import ConvexBody3, PlaneFrame, RigidMotion, compose, cross3, hausdorff_distance
-from conekit.symmetry import detect_symmetries, is_right_circular
+from conekit.symmetry import case_split, detect_symmetries, is_right_circular
 from conftest import random_cone, random_orthogonal, random_rotation
 from oracles import grid_candidates_dense, hausdorff, icp_refine_cdist, mirror_planes_eager
 
@@ -57,10 +57,11 @@ def test_icp_refine_matches_cdist_loop_bitwise(rng, n1, n2):
         r2 = _silhouette_cone(rng, n2).rays
         omega0 = random_orthogonal(rng)
         for max_iter in (POLISH_ITER, ICP_MAX_ITER):
-            h, om = _icp_refine(r1, r2, omega0, max_iter=max_iter)
-            h_ref, om_ref = icp_refine_cdist(r1, r2, omega0, max_iter)
+            h, om, converged = _icp_refine(r1, r2, omega0, max_iter=max_iter)
+            h_ref, om_ref, converged_ref = icp_refine_cdist(r1, r2, omega0, max_iter)
             assert h == h_ref
             assert np.array_equal(om, om_ref)
+            assert converged == converged_ref
 
 
 @pytest.mark.parametrize("n1,n2", [(3, 3), (4, 6), (6, 6), (24, 24), (6, 256), (256, 256)])
@@ -163,6 +164,8 @@ def test_detect_symmetries_builds_plane_frames_only_on_read(monkeypatch):
     for cone, n_mirrors in zip(cones, (256, 4)):
         calls.clear()
         report = detect_symmetries(cone)
+        # classifying reads the mirror angles; normals too are built on read
+        assert case_split(report) != "trivial" and "mirror_normals" not in vars(report)
         assert calls == [] and len(report.mirror_normals) == n_mirrors
         planes = report.planes
         assert len(calls) == len(planes) == n_mirrors

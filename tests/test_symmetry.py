@@ -1,10 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conekit.cones import SupportCone, cross_section, motion_image, support_cone
-from conekit.geom import ConvexBody3, hausdorff_distance, reflection_in_plane, rotation_about_line
+from conekit.cones import SupportCone, canonical_axis, cross_section, motion_image, support_cone
+from conekit.geom import (
+    ConvexBody3,
+    hausdorff_distance,
+    orthonormal_basis,
+    reflection_in_plane,
+    rotation_about_line,
+    rotation_matrix,
+)
+from conekit.harness import load_scene, scene_cones
 from conekit.symmetry import (
     INFINITE,
+    _bound_decisions,
     case_split,
     detect_circle,
     detect_symmetries,
@@ -203,3 +214,63 @@ class TestCaseSplit:
         assert case_split(detect_symmetries(SupportCone.from_rays([0, 0, 0], dirs))) == "plane_only_finite"
         rays = np.array([[1, 0, -2], [-1, 0.3, -2], [0.2, 1, -2]], float)
         assert case_split(detect_symmetries(SupportCone.from_rays([0, 0, 0], rays))) == "trivial"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENES = ("scenes/ball_r1_R3", "scenes/ellipsoid_211_R5", "scenes/cube_R4", "perfbench/scenes/borderline_e1005_R3")
+
+
+def _candidate_batches(cone, tol):
+    """Every candidate ``detect_symmetries`` may decide, in batches for
+    ``_bound_decisions``, each with its orthogonal map: the two generators
+    of the sampled-circle branch and, for cones outside that branch, the
+    rotations and mirrors taking ray 0 to each height-compatible ray."""
+    rays = cone.rays
+    n = len(rays)
+    axis = canonical_axis(cone)
+    f1, f2 = orthonormal_basis(axis)
+    x, y, z = rays @ f1, rays @ f2, rays @ axis
+    theta = np.arctan2(y, x)
+    step = 2.0 * np.pi / n
+
+    def mirror(c):
+        normal = -np.sin(c) * f1 + np.cos(c) * f2
+        return np.eye(3) - 2.0 * np.outer(normal, normal)
+
+    batches = [
+        (np.array([step, step]), np.array([1, -1]), False, [rotation_matrix(axis, step)] * 2),
+        (np.array([theta[0] % np.pi]), np.array([0]), True, [mirror(theta[0] % np.pi)]),
+    ]
+    if not (is_right_circular(cone, tol)[0] and cone.is_sampled and n == cone.source_samples):
+        js = np.flatnonzero(np.abs(z - z[0]) <= tol)
+        rot = (theta[js] - theta[0]) % (2.0 * np.pi)
+        mir = (theta[0] + theta[js]) / 2.0 % np.pi
+        batches += [
+            (rot, js, False, [rotation_matrix(axis, t) for t in rot]),
+            (mir, js, True, [mirror(c) for c in mir]),
+        ]
+    return np.column_stack([x, y, z]), batches
+
+
+def test_bound_decisions_agree_with_hausdorff_distance():
+    # every candidate the bounds decide must get the decision of the exact
+    # distance, at the default and five fixed tolerances; distances taken
+    # from 2 - 2 cos lose the small ones at tol 1e-9
+    cones = []
+    for name in SCENES:
+        cones += scene_cones(load_scene(ROOT / f"{name}.json"))[1]
+    rng = np.random.default_rng(24)
+    cones += [random_cone(rng) for _ in range(300)]
+    cones += [regular_polygon_cone(m) for m in range(3, 13)]
+    decided = {1: 0, -1: 0}
+    for tol in (None, 1e-9, 1e-6, 1e-3, 1e-2, 1e-1):
+        for cone in cones:
+            t = tol if tol is not None else 1e-3 if cone.is_sampled else 1e-6
+            frame_rays, batches = _candidate_batches(cone, t)
+            for angles, shifts, mirror, omegas in batches:
+                for decision, omega in zip(_bound_decisions(frame_rays, angles, shifts, mirror, t), omegas):
+                    if decision:
+                        exact = hausdorff_distance(cone.rays @ omega.T, cone.rays) <= t
+                        assert (decision > 0) == exact, (decision, t, len(cone.rays))
+                        decided[int(decision)] += 1
+    assert min(decided.values()) > 1000, decided
