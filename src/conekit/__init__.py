@@ -9,6 +9,7 @@ from .errors import (
     IndeterminateIndexError,
     RankDeficientError,
     SceneInvalidError,
+    UnresolvedConeError,
 )
 from .geom import (
     ConvexBody3,

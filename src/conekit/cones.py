@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import APEX_MARGIN, CIRCLE_SPREAD, EPS_GEO, EPS_ORTHO
-from .errors import ApexInsideBodyError
+from .errors import ApexInsideBodyError, UnresolvedConeError
 from .geom import (
     ConvexBody3,
     PlaneFrame,
@@ -164,7 +164,7 @@ class SupportCone:
         dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
         dirs = _dedupe_directions(dirs)
         if len(dirs) < 3:
-            raise ValueError("need at least 3 distinct directions")
+            raise UnresolvedConeError("need at least 3 distinct directions")
         w = _salient_witness(dirs, None if witness_hint is None else np.asarray(witness_hint, float))
         proj = dirs / (dirs @ w)[:, None]
         bu, bv = orthonormal_basis(w)
@@ -258,7 +258,7 @@ def support_cone(
         z0 = ainv @ (apex - body.center)
         nz = float(np.linalg.norm(z0))
     if not np.isfinite(nz):
-        raise ValueError("the apex distance in units of the body's semi-axes overflows")
+        raise UnresolvedConeError("the apex distance in units of the body's semi-axes overflows")
     if float(np.min(body.semi_axes) if body.kind == "ellipsoid" else body.radius) * (nz - 1.0) <= apex_margin:
         raise ApexInsideBodyError(
             "apex lies inside the body or within margin of its boundary"

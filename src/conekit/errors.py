@@ -10,6 +10,13 @@ class ApexInsideBodyError(ConeKitError):
     well-conditioned tangent cone."""
 
 
+class UnresolvedConeError(ConeKitError, ValueError):
+    """A support cone cannot be resolved in double precision: the apex
+    distance overflows in the body's own units, or the directions collapse
+    to fewer than 3 distinct ones.  Also a ``ValueError``, like the other
+    rejections of bad cone input."""
+
+
 class SceneInvalidError(ConeKitError):
     """Scene failed validation: parse error, degenerate body, or a
     containment violation.

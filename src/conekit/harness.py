@@ -34,7 +34,7 @@ from .congruence import (
     continuity_probe,
     pairwise_congruence_matrix,
 )
-from .errors import SceneInvalidError
+from .errors import SceneInvalidError, UnresolvedConeError
 from .geom import ConvexBody3, as_point, fibonacci_directions, hausdorff_distance, unit
 from .symmetry import SymmetryReport, case_split, detect_circle, detect_symmetries
 from .topology import icosphere
@@ -193,15 +193,19 @@ def sample_boundary(body: ConvexBody3, n: int, seed: int = 0,
 
 
 def scene_apexes(scene: Scene) -> np.ndarray:
-    # extreme but finite scales overflow here; the checks below name them
-    with np.errstate(all="ignore"):
+    # a scale beyond double precision turns ray exits into 0/0 or inf here;
+    # the finiteness check names it
+    with np.errstate(over="ignore", invalid="ignore"):
         apexes = sample_boundary(
             scene.outer, scene.count, scene.seed, scene.strategy, scene.origin
         )
-        if not np.all(np.isfinite(apexes)):
-            raise SceneInvalidError("apexes on the outer body are not finite: its size overflows double precision")
+    if not np.all(np.isfinite(apexes)):
+        raise SceneInvalidError("apexes on the outer body are not finite: its size overflows double precision")
+    # a margin that overflows is +inf, and support_cone names that overflow;
+    # a NaN margin shows no containment and is rejected
+    with np.errstate(over="ignore"):
         for x in apexes:
-            if scene.inner.surface_margin(x) < scene.containment_margin:
+            if not scene.inner.surface_margin(x) >= scene.containment_margin:
                 raise SceneInvalidError(
                     "sampled apex is not outside the inner body by the containment margin",
                     offending_sample=x,
@@ -224,9 +228,7 @@ def scene_cones(scene: Scene, indices=None) -> tuple[np.ndarray, list[SupportCon
     for i in indices:
         try:
             cones.append(support_cone(scene.inner, apexes[i], samples=scene.config.samples_per_cone))
-        except ValueError as exc:
-            # a valid scene whose scales leave the cone unresolved in double
-            # precision: overflow, or too few distinct rays
+        except UnresolvedConeError as exc:
             raise SceneInvalidError(f"support cone at apex {i} cannot be resolved in double precision: {exc}") from exc
     return apexes, cones
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conekit import harness
 from conekit.errors import SceneInvalidError
 from conekit.geom import ConvexBody3, rotation_matrix, unit
 from conekit.harness import (
@@ -60,6 +61,25 @@ class TestSceneLoading:
         bad["config"] = {"samples_per_cone": 64, "mystery": 1}
         with pytest.raises(SceneInvalidError):
             scene_from_dict(bad)
+
+    def test_nan_apex_margin_rejected(self, monkeypatch):
+        scene = scene_from_dict(BALL_SCENE)
+        margin = ConvexBody3.surface_margin
+        monkeypatch.setattr(ConvexBody3, "surface_margin",
+                            lambda body, point: float("nan") if body is scene.inner else margin(body, point))
+        with pytest.raises(SceneInvalidError, match="containment margin"):
+            scene_cones(scene)
+
+    def test_cone_bug_not_blamed_on_scene(self, monkeypatch):
+        # only an unresolvable cone is a scene fault; any other error escapes
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        scene = scene_from_dict(BALL_SCENE)
+        monkeypatch.setattr(harness, "support_cone", broken)
+        with pytest.raises(ValueError, match="broadcast") as err:
+            scene_cones(scene)
+        assert not isinstance(err.value, SceneInvalidError)
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"
