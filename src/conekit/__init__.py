@@ -40,6 +40,7 @@ from .congruence import (
     PairwiseCongruence,
     congruence_distance,
     continuity_probe,
+    diameter_lower_bounds,
     pairwise_congruence_matrix,
     procrustes_orthogonal,
 )

@@ -223,6 +223,20 @@ class SupportCone:
         """Whether the rays are an exact circle about the canonical axis."""
         return _uniform_circle(self.rays, self._axis[0])
 
+    @cached_property
+    def _diameter(self) -> float:
+        """Chordal diameter of the ray set, an O(3)-invariant.  Pairs are
+        selected by smallest inner product and measured from their
+        coordinate differences."""
+        r = self.rays
+        g = r @ r.T
+        # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, and every ray is unit to within
+        # EPS_ORTHO, so the farthest pair's inner product is within
+        # 4 EPS_ORTHO (plus rounding) of the smallest: it is among those kept
+        a, b = np.nonzero(g <= g.min() + 5.0 * EPS_ORTHO)
+        d = r[a] - r[b]
+        return float(np.sqrt(np.add.reduce(d * d, 1).max()))
+
 
 def support_cone(
     body: ConvexBody3,

@@ -54,6 +54,7 @@ __all__ = [
     "ContinuityProbeResult",
     "procrustes_orthogonal",
     "congruence_distance",
+    "diameter_lower_bounds",
     "pairwise_congruence_matrix",
     "continuity_probe",
 ]
@@ -299,8 +300,9 @@ def congruence_distance(
 
 @dataclass(frozen=True, eq=False)
 class PairwiseCongruence:
-    """Symmetric matrix of congruence distances over a cone list, with the
-    per-pair results (witnesses included) keyed by index pairs i < j."""
+    """Symmetric matrix of congruence distances over a cone list (NaN for
+    pairs not registered), with the per-pair results (witnesses included)
+    keyed by index pairs i < j."""
 
     matrix: np.ndarray
     results: dict
@@ -311,19 +313,31 @@ def _pair_worker(args):
     return i, j, congruence_distance(c1, c2, tol)
 
 
+def diameter_lower_bounds(cones: list[SupportCone]) -> np.ndarray:
+    """Certified lower bounds on the congruence distance of every pair of
+    cones, with no registration: orthogonal maps preserve a ray set's
+    chordal diameter, and ray sets within Hausdorff distance h have
+    diameters within 2h, so entry (i, j) is ``|diam_i - diam_j| / 2``."""
+    diam = np.array([c._diameter for c in cones])
+    return np.abs(diam[:, None] - diam[None, :]) / 2.0
+
+
 def pairwise_congruence_matrix(
     cones: list[SupportCone],
     tol: float | None = None,
     jobs: int = 1,
+    pairs: list[tuple[int, int]] | None = None,
 ) -> PairwiseCongruence:
-    """All-pairs congruence distances.  Entries are independent; with
-    ``jobs > 1`` they are computed in a process pool with deterministic
-    assembly (identical inputs give identical output regardless of
-    scheduling)."""
+    """Congruence distances of the index pairs ``pairs`` (i < j; all pairs
+    by default).  Entries are independent; with ``jobs > 1`` they are
+    computed in a process pool with deterministic assembly (identical
+    inputs give identical output regardless of scheduling).  Matrix entries
+    of pairs not asked for are NaN."""
     n = len(cones)
     if n < 2:
         raise ValueError("need at least 2 cones")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs is None:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     results: dict[tuple[int, int], CongruenceResult] = {}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -335,7 +349,8 @@ def pairwise_congruence_matrix(
     else:
         for i, j in pairs:
             results[(i, j)] = congruence_distance(cones[i], cones[j], tol)
-    matrix = np.zeros((n, n))
+    matrix = np.full((n, n), np.nan)
+    np.fill_diagonal(matrix, 0.0)
     for (i, j), res in results.items():
         matrix[i, j] = matrix[j, i] = res.distance
     return PairwiseCongruence(matrix=matrix, results=results)

@@ -2,13 +2,14 @@
 end-to-end verification pipeline.
 
 A scene is an inner body M strictly inside an outer body K.  The pipeline
-samples apexes on the boundary of K, builds the support cones of M, runs
-the all-pairs congruence matrix and per-apex symmetry classification,
-collects the axis field eta with injectivity and coverage statistics, cuts
-the distance-1 cross-sections, and issues a verdict:
+samples apexes on the boundary of K, builds the support cones of M, bounds
+every pair's congruence distance (registering only the pairs whose bounds
+leave the verdict open), classifies each cone's symmetry, collects the axis
+field eta with injectivity and coverage statistics, cuts the distance-1
+cross-sections, and issues a verdict:
 
-* ``consistent_with_ball`` when the cones are pairwise congruent, right
-  circular, and their sections are circles,
+* ``consistent_with_ball`` when every pair's upper bound is within
+  tolerance, the cones are right circular, and their sections are circles,
 * ``non_congruence_witness`` when some pair is distant beyond the witness
   threshold (a concrete counterexample pair is reported),
 * ``continuity_violation`` when borderline residuals combine with
@@ -30,8 +31,8 @@ from .config import EPS_GEO, HarnessConfig, is_integer, is_positive_number
 from .cones import PlanarSection, SupportCone, cross_section, support_cone
 from .congruence import (
     ContinuityProbeResult,
-    PairwiseCongruence,
     continuity_probe,
+    diameter_lower_bounds,
     pairwise_congruence_matrix,
 )
 from .errors import SceneInvalidError, UnresolvedConeError
@@ -296,15 +297,13 @@ def eta_map(
 class SectionFieldResult:
     """Distance-1 cross-sections tagged by their axis directions.
 
-    ``congruent_field`` is set when every pairwise cone congruence
-    residual is within tolerance.  Continuity is probed, not assumed: for
-    each apex and its nearest neighbour (by axis angle), the 3D Hausdorff
-    gap between the embedded sections must stay within a data-estimated
-    Lipschitz cone ``L * angle + 2 * tol``.
+    Continuity is probed, not assumed: for each apex and its nearest
+    neighbour (by axis angle), the 3D Hausdorff gap between the embedded
+    sections must stay within a data-estimated Lipschitz cone
+    ``L * angle + 2 * tol``.
     """
 
     sections: list
-    congruent_field: bool
     lipschitz_estimate: float
     continuity_violations: tuple
     circle_flags: tuple
@@ -314,14 +313,12 @@ class SectionFieldResult:
 def section_field(
     cones: list[SupportCone],
     etas: np.ndarray,
-    matrix: np.ndarray,
     tol: float,
     sections: list[PlanarSection] | None = None,
 ) -> SectionFieldResult:
     if sections is None:
         sections = [cross_section(c, 1.0) for c in cones]
     n = len(sections)
-    congruent_field = bool(matrix.max() <= tol) if n > 1 else True
 
     embedded = [s.embedded() for s in sections]
     gram = np.clip(etas @ etas.T, -1.0, 1.0)
@@ -354,7 +351,6 @@ def section_field(
         radii.append(float(radius))
     return SectionFieldResult(
         sections=sections,
-        congruent_field=congruent_field,
         lipschitz_estimate=lip,
         continuity_violations=violations,
         circle_flags=tuple(flags),
@@ -364,13 +360,19 @@ def section_field(
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """End-to-end scene verdict with the statistics that justify it."""
+    """End-to-end scene verdict with the statistics that justify it.
+
+    ``lower_bound_max`` is the largest certified lower bound on a pair's
+    congruence distance, ``upper_bound_max`` the largest certified upper
+    bound (None when no registration ran), and ``registrations`` the number
+    of pairs registered outside the continuity probe."""
 
     verdict: str
     witness_pair: tuple | None
-    matrix_max: float
-    matrix_mean: float
-    matrix_median: float
+    lower_bound_max: float
+    upper_bound_max: float | None
+    registrations: int
+    congruent_field: bool
     tol: float
     witness_threshold: float
     symmetry_classes: tuple
@@ -379,8 +381,6 @@ class VerificationReport:
     eta: EtaResult
     sections: SectionFieldResult
     apexes: np.ndarray
-    matrix: np.ndarray
-    pairwise: PairwiseCongruence
     probe: ContinuityProbeResult | None
     config_echo: dict
 
@@ -405,16 +405,29 @@ def _probe_sequences(scene: Scene, apexes: np.ndarray, i: int, j: int):
     return walk(t1), walk(t2), apexes[j]
 
 
+def _registered(cones, tol: float, jobs: int, iu, todo: np.ndarray) -> np.ndarray:
+    """Registered distances of the upper-triangle pairs ``iu`` selected by
+    ``todo``, +inf for the others."""
+    d = np.full(len(todo), np.inf)
+    if todo.any():
+        pairs = [(int(iu[0][k]), int(iu[1][k])) for k in np.flatnonzero(todo)]
+        d[todo] = pairwise_congruence_matrix(cones, tol, jobs, pairs=pairs).matrix[iu][todo]
+    return d
+
+
 def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> VerificationReport:
     """Run the full pipeline and issue a verdict.
 
-    The verdict is ``consistent_with_ball`` only when three independent
-    statistics agree: the congruence matrix is within tolerance, every
-    cone is right circular, and every section is a circle.  A matrix entry
-    beyond the witness threshold names a concrete counterexample pair.
-    Entries in between leave the scene in the inconclusive band, where a
-    witness-limit probe distinguishes a continuity violation from plain
-    borderline numerics.
+    Every pair of cones gets a certified lower bound on its congruence
+    distance from the cones' diameters, and an upper bound from
+    registrations: against cone 0 for every cone (a star), then of the
+    pairs whose bounds straddle the threshold that decides the verdict.
+    The verdict is ``consistent_with_ball`` only when every upper bound is
+    within tolerance, every cone is right circular, and every section is a
+    circle.  A lower bound beyond the witness threshold, or else an upper
+    bound beyond it, names a counterexample pair.  Otherwise the scene is
+    in the inconclusive band, where a witness-limit probe distinguishes a
+    continuity violation from plain borderline numerics.
     """
     cfg = config or scene.config
     apexes, cones = scene_cones(scene)
@@ -422,8 +435,32 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
     tol = cfg.resolve_tol(sampled)
     wit = cfg.resolve_witness_threshold(sampled)
 
-    pairwise = pairwise_congruence_matrix(cones, tol, jobs=cfg.jobs)
-    matrix = pairwise.matrix
+    # Rounding margin.  Each diameter is the norm of a difference of two
+    # unit rays, at most 2, and the farthest pair is among those measured,
+    # so it rounds by well under 1e-14: a computed lower bound exceeds the
+    # certified one by less than 1e-12.
+    m = 1e-12
+    iu = np.triu_indices(len(cones), k=1)
+    lb = diameter_lower_bounds(cones)[iu]
+    ub = np.full(len(lb), np.inf)
+    registered = np.zeros(len(lb), dtype=bool)
+    if lb.max() <= wit + m:
+        # the witness of d(0, j) maps cone 0 onto cone j, so composing two
+        # of them maps cone i onto cone j within d(0, i) + d(0, j)
+        registered = iu[0] == 0
+        d0 = np.concatenate([[0.0], _registered(cones, tol, cfg.jobs, iu, registered)[registered]])
+        ub = d0[iu[0]] + d0[iu[1]]
+        todo = ~registered & (ub > wit)
+        ub = np.minimum(ub, _registered(cones, tol, cfg.jobs, iu, todo))
+        registered |= todo
+        if ub.max() <= wit and lb.max() <= tol + m:
+            todo = ~registered & (ub > tol)
+            ub = np.minimum(ub, _registered(cones, tol, cfg.jobs, iu, todo))
+            registered |= todo
+    k_lb, k_ub = int(np.argmax(lb)), int(np.argmax(ub))
+    lb_pair = (int(iu[0][k_lb]), int(iu[1][k_lb]))
+    ub_pair = (int(iu[0][k_ub]), int(iu[1][k_ub]))
+    congruent = bool(ub[k_ub] <= tol)
 
     reports = [detect_symmetries(c, tol) for c in cones]
     classes = [case_split(r) for r in reports]
@@ -435,26 +472,24 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
 
     sections = [cross_section(c, 1.0) for c in cones]
     eta = eta_map(cones, sections, classes)
-    sect = section_field(cones, eta.etas, matrix, tol, sections)
-
-    iu = np.triu_indices(len(cones), k=1)
-    entries = matrix[iu]
-    mmax = float(entries.max())
-    argmax_flat = int(np.argmax(entries))
-    worst_pair = (int(iu[0][argmax_flat]), int(iu[1][argmax_flat]))
+    sect = section_field(cones, eta.etas, tol, sections)
 
     probe = None
-    if mmax <= tol and all_rc and all(sect.circle_flags):
+    if congruent and all_rc and all(sect.circle_flags):
         verdict = "consistent_with_ball"
         witness_pair = None
-    elif mmax > wit:
+    elif lb[k_lb] > wit + m:
         verdict = "non_congruence_witness"
-        witness_pair = worst_pair
+        witness_pair = lb_pair
+    elif ub[k_ub] > wit:
+        verdict = "non_congruence_witness"
+        witness_pair = ub_pair
     else:
-        seq1, seq2, xstar = _probe_sequences(scene, apexes, *worst_pair)
+        pair = lb_pair if lb[k_lb] > tol + m else ub_pair
+        seq1, seq2, xstar = _probe_sequences(scene, apexes, *pair)
         probe = continuity_probe(
             lambda x: support_cone(scene.inner, x, samples=cfg.samples_per_cone),
-            apexes[worst_pair[0]],
+            apexes[pair[0]],
             xstar,
             seq1,
             seq2,
@@ -463,7 +498,7 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
         diverging = probe.limits_differ or not (probe.converged1 and probe.converged2)
         if diverging and probe.hypothesis_violated:
             verdict = "continuity_violation"
-            witness_pair = worst_pair
+            witness_pair = pair
         else:
             verdict = "inconclusive"
             witness_pair = None
@@ -471,9 +506,10 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
     return VerificationReport(
         verdict=verdict,
         witness_pair=witness_pair,
-        matrix_max=mmax,
-        matrix_mean=float(entries.mean()),
-        matrix_median=float(np.median(entries)),
+        lower_bound_max=float(lb[k_lb]),
+        upper_bound_max=float(ub[k_ub]) if registered.any() else None,
+        registrations=int(registered.sum()),
+        congruent_field=congruent,
         tol=tol,
         witness_threshold=wit,
         symmetry_classes=tuple(classes),
@@ -482,8 +518,6 @@ def verify_scene(scene: Scene, config: HarnessConfig | None = None) -> Verificat
         eta=eta,
         sections=sect,
         apexes=apexes,
-        matrix=matrix,
-        pairwise=pairwise,
         probe=probe,
         config_echo=asdict(cfg),
     )
@@ -552,10 +586,10 @@ def report_to_dict(report: VerificationReport) -> dict:
     return {
         "verdict": report.verdict,
         "witness_pair": list(report.witness_pair) if report.witness_pair else None,
-        "congruence_matrix_summary": {
-            "max": report.matrix_max,
-            "mean": report.matrix_mean,
-            "median": report.matrix_median,
+        "congruence_bounds": {
+            "max_lower_bound": report.lower_bound_max,
+            "max_upper_bound": report.upper_bound_max,
+            "registrations": report.registrations,
         },
         "tol": report.tol,
         "witness_threshold": report.witness_threshold,
@@ -569,7 +603,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "eta_min_separation": report.eta.min_separation,
         "eta_coverage_fraction": report.eta.coverage_fraction,
         "eta_fallback_count": int(report.eta.fallback.sum()),
-        "congruent_field": report.sections.congruent_field,
+        "congruent_field": report.congruent_field,
         "section_circles": list(report.sections.circle_flags),
         "section_radii": list(report.sections.circle_radii),
         "continuity_violations": [list(v) for v in report.sections.continuity_violations],

@@ -312,3 +312,41 @@ def mirror_planes_eager(apex, rays, axis, tol, sampled_circle: bool) -> list[tup
         if mirror_verifies(c):
             found.append(c)
     return [frame(c) for c in sorted(found)]
+
+
+def full_matrix_verdict(scene):
+    """The verdict rule of the all-pairs congruence matrix, the reference
+    for ``harness.verify_scene``, which registers only the pairs its bounds
+    leave open: consistent when the matrix max is within tol and every cone
+    and section is circular, a witness at the matrix argmax beyond the
+    witness threshold, and otherwise the continuity probe at that pair.
+    Returns (verdict, pair)."""
+    from conekit import harness
+    from conekit.cones import cross_section, support_cone
+    from conekit.congruence import continuity_probe, pairwise_congruence_matrix
+    from conekit.symmetry import detect_circle, detect_symmetries
+
+    cfg = scene.config
+    apexes, cones = harness.scene_cones(scene)
+    sampled = any(c.is_sampled for c in cones)
+    tol, wit = cfg.resolve_tol(sampled), cfg.resolve_witness_threshold(sampled)
+    iu = np.triu_indices(len(cones), k=1)
+    entries = pairwise_congruence_matrix(cones, tol).matrix[iu]
+    k = int(np.argmax(entries))
+    pair = (int(iu[0][k]), int(iu[1][k]))
+    all_rc = all(detect_symmetries(c, tol).is_right_circular for c in cones)
+    sections = [cross_section(c, 1.0) for c in cones]
+    circles = all(len(s.polygon) >= 8 and detect_circle(s, tol)[0] for s in sections)
+    if entries[k] <= tol and all_rc and circles:
+        return "consistent_with_ball", None
+    if entries[k] > wit:
+        return "non_congruence_witness", pair
+    seq1, seq2, xstar = harness._probe_sequences(scene, apexes, *pair)
+    probe = continuity_probe(
+        lambda x: support_cone(scene.inner, x, samples=cfg.samples_per_cone),
+        apexes[pair[0]], xstar, seq1, seq2, tol,
+    )
+    diverging = probe.limits_differ or not (probe.converged1 and probe.converged2)
+    if diverging and probe.hypothesis_violated:
+        return "continuity_violation", pair
+    return "inconclusive", None

@@ -58,7 +58,8 @@ def test_criterion_1_ball_golden_scene():
     half_err = float(np.max(np.abs(np.array(report.half_angles) - np.arcsin(1.0 / 3.0))))
     ok = (
         report.verdict == "consistent_with_ball"
-        and report.matrix_max < 1e-3
+        and report.upper_bound_max is not None
+        and report.upper_bound_max < 1e-3
         and half_err < 1e-3
         and elapsed < 60.0
     )
@@ -66,7 +67,7 @@ def test_criterion_1_ball_golden_scene():
         1,
         "ball golden scene",
         ok,
-        f"verdict={report.verdict} max={report.matrix_max:.2e} "
+        f"verdict={report.verdict} upper_bound_max={report.upper_bound_max} "
         f"half_angle_err={half_err:.2e} elapsed={elapsed:.1f}s",
     )
 

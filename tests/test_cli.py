@@ -271,8 +271,20 @@ def test_negative_seed_exit_three(tmp_path, flags, capsys):
     assert "sampling seed must be an integer >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scene", [BALL_SCENE, CUBE_SCENE], ids=["ball", "cube"])
-def test_verify_jobs_two_matches_serial(tmp_path, scene):
+# its star (7 pairs) and the 6 pairs whose bounds straddle tol are
+# registered in the pool
+NEAR_BALL_SCENE = {
+    **BALL_SCENE,
+    "inner": {"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1.004, 1.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "scene, registrations",
+    [(BALL_SCENE, 7), (CUBE_SCENE, 0), (NEAR_BALL_SCENE, 13)],
+    ids=["ball", "cube", "near_ball"],
+)
+def test_verify_jobs_two_matches_serial(tmp_path, scene, registrations):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(scene))
     reports = []
@@ -281,6 +293,7 @@ def test_verify_jobs_two_matches_serial(tmp_path, scene):
         code = main(["verify", "--scene", str(path), "--jobs", str(jobs), "--out", str(out)])
         report = json.loads(out.read_text())
         assert report["config"].pop("jobs") == jobs
+        assert report["congruence_bounds"]["registrations"] == registrations
         reports.append((code, json.dumps(report, sort_keys=True)))
     assert reports[0] == reports[1]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conekit import harness
+from conekit.congruence import congruence_distance, diameter_lower_bounds, pairwise_congruence_matrix
 from conekit.errors import SceneInvalidError
 from conekit.geom import ConvexBody3, rotation_matrix, unit
 from conekit.harness import (
@@ -165,7 +166,7 @@ class TestVerifyScene:
         scene = scene_from_dict(BALL_SCENE)
         report = verify_scene(scene)
         assert report.verdict == "consistent_with_ball"
-        assert report.matrix_max <= 1e-3
+        assert report.upper_bound_max is not None and report.upper_bound_max <= 1e-3
         assert report.all_right_circular
         assert all(report.sections.circle_flags)
         assert report.witness_pair is None
@@ -191,8 +192,11 @@ class TestVerifyScene:
         report = verify_scene(cube_scene)
         assert report.verdict == "non_congruence_witness"
         i, j = report.witness_pair
-        assert report.matrix[i, j] == report.matrix_max
-        assert report.matrix_max > report.witness_threshold
+        _, cones = scene_cones(cube_scene)
+        lb = diameter_lower_bounds(cones)[i, j]
+        assert lb == report.lower_bound_max
+        assert lb > report.witness_threshold
+        assert lb <= congruence_distance(cones[i], cones[j]).distance
 
     def test_ball_verdict_across_densities(self):
         for count in (20, 35, 60):
@@ -204,23 +208,21 @@ class TestVerifyScene:
     def test_section_field_flags(self):
         scene = scene_from_dict(BALL_SCENE)
         _, cones = scene_cones(scene)
-        from conekit.congruence import pairwise_congruence_matrix
-
-        pw = pairwise_congruence_matrix(cones, tol=1e-3)
+        report = verify_scene(scene)
+        assert report.congruent_field and report.upper_bound_max <= 1e-3
         from conekit.cones import cross_section
 
         sections = [cross_section(c, 1.0) for c in cones]
         etas = np.array([s.frame.normal for s in sections])
-        res = section_field(cones, etas, pw.matrix, 1e-3, sections)
-        assert res.congruent_field
+        res = section_field(cones, etas, 1e-3, sections)
         assert res.continuity_violations == ()
         radius = np.tan(np.arcsin(1 / 3))
         assert np.max(np.abs(np.array(res.circle_radii) - radius)) <= 1e-3
 
     def test_matrix_csv_shape(self):
         scene = scene_from_dict(BALL_SCENE)
-        report = verify_scene(scene)
-        csv = matrix_to_csv(report.matrix)
+        _, cones = scene_cones(scene)
+        csv = matrix_to_csv(pairwise_congruence_matrix(cones, tol=1e-3).matrix)
         lines = csv.strip().split("\n")
         assert len(lines) == scene.count + 1
         assert lines[0].startswith("apex,")
