@@ -23,6 +23,7 @@ from .geom import (
     PlaneFrame,
     RigidMotion,
     as_point,
+    extreme_cycle,
     orthonormal_basis,
     unit,
 )
@@ -71,12 +72,25 @@ def _salient_witness(dirs: np.ndarray, hint: np.ndarray | None = None) -> np.nda
 
 
 def _dedupe_directions(dirs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Drop every direction within ``tol`` of an earlier one."""
-    from scipy.spatial import cKDTree
+    """Drop the later direction of every pair within ``tol`` of each other.
 
-    pairs = cKDTree(dirs).query_pairs(tol, output_type="ndarray")  # i < j
+    Two directions that close differ by at most ``tol`` in every coordinate,
+    so after sorting on the coordinate of largest spread each one's
+    candidates are the few that follow it within ``tol`` (sort and sweep);
+    they are confirmed from their coordinate differences."""
+    k = int(np.argmax(dirs.max(axis=0) - dirs.min(axis=0)))
+    order = np.argsort(dirs[:, k], kind="stable")
+    x = dirs[order, k]
+    # twice the window, so that rounding in x + tol cannot drop a candidate
+    span = np.searchsorted(x, x + 2.0 * tol, side="right") - np.arange(1, len(x) + 1)
+    if not span.any():
+        return dirs
+    first = np.repeat(np.arange(len(x)), span)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(span) - span, span)
+    a, b = order[first], order[second]
+    d = dirs[a] - dirs[b]
     keep = np.ones(len(dirs), dtype=bool)
-    keep[pairs[:, 1]] = False
+    keep[np.maximum(a, b)[np.einsum("ij,ij->i", d, d) <= tol * tol]] = False
     return dirs[keep]
 
 
@@ -158,7 +172,10 @@ class SupportCone:
 
         The extreme rays are found by central (gnomonic) projection onto
         the plane <p, w> = 1 followed by a 2D convex hull; a direction is
-        extreme exactly when its projection is a hull vertex.
+        extreme exactly when its projection is a hull vertex.  The rays run
+        counterclockwise in the chart ``orthonormal_basis(w)``, and ray 0
+        is the first met turning counterclockwise from the chart's
+        ``-bu`` direction about the centroid of the projections.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
@@ -169,13 +186,9 @@ class SupportCone:
         proj = dirs / (dirs @ w)[:, None]
         bu, bv = orthonormal_basis(w)
         pts2 = np.column_stack([proj @ bu, proj @ bv])
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(pts2)
-        except QhullError as exc:
-            raise ValueError("directions are degenerate (flat cone)") from exc
-        order = hull.vertices  # counterclockwise
+        order = extreme_cycle(pts2)  # counterclockwise
+        if len(order) < 3:
+            raise ValueError("directions are degenerate (flat cone)")
         return cls(
             apex=apex,
             rays=dirs[order],

@@ -121,12 +121,15 @@ def _icosahedral_rotations() -> tuple[np.ndarray, ...]:
     return tuple(np.round(e, 15) for e in elems)
 
 
-def _decimate_cyclic(rays: np.ndarray, cap: int) -> np.ndarray:
+def _decimate_cyclic(rays: np.ndarray, cap: int, anchor: np.ndarray) -> np.ndarray:
+    """At most ``cap`` rays evenly spaced along the cycle, starting at the
+    ray nearest the cone's tangent anchor, so that the subset does not
+    depend on which ray the cycle starts at."""
     n = len(rays)
     if n <= cap:
         return rays
-    idx = np.unique((np.arange(cap) * n) // cap)
-    return rays[idx]
+    start = int(np.argmax(rays @ anchor))
+    return rays[(start + (np.arange(cap) * n) // cap) % n]
 
 
 def _hausdorff_sq_scores(G: np.ndarray) -> np.ndarray:
@@ -176,8 +179,9 @@ def _grid_candidates(
     axis-aligning base rotation, for both branches of O(3).  The best
     local maxima of the score curve are kept per branch, so distinct
     basins get distinct refinement seeds."""
-    P = _decimate_cyclic(rays1, GRID_MAX_RAYS) @ base.T
-    Q = _decimate_cyclic(rays2, GRID_MAX_RAYS)
+    # base carries anchor1 to f1, so each start is the ray nearest f1
+    P = _decimate_cyclic(rays1, GRID_MAX_RAYS, base.T @ f1) @ base.T
+    Q = _decimate_cyclic(rays2, GRID_MAX_RAYS, f1)
     a, b, z = P @ f1, P @ f2, P @ axis2
     al, be, ze = Q @ f1, Q @ f2, Q @ axis2
     Z = np.outer(z, ze).astype(np.float32)[:, :, None]

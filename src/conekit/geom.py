@@ -280,6 +280,106 @@ def hausdorff_distance(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
+# convex hulls
+
+
+def extreme_cycle(pts: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the convex hull of distinct 2D points,
+    counterclockwise; fewer than 3 when the points are collinear.
+
+    The points are sorted by angle about their centroid, which lies inside
+    the hull whenever the hull has area, so the sorted cycle is a polygon
+    star-shaped about it.  A vertex of that polygon that does not turn left
+    lies in the triangle of the centroid and its two neighbours, so it is
+    not extreme, and dropping any set of such vertices leaves the hull as
+    it was.  They are dropped together until every vertex turns left
+    (Graham, 1972).  Turns whose sine is within ``EPS_ORTHO`` of zero count
+    as straight, so points on a hull edge are not vertices."""
+    d = pts - pts.mean(axis=0)
+    order = np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")
+    while len(order) >= 3:
+        # e[k] is the edge into vertex k of the cycle and e[k + 1] the edge out
+        e = np.diff(pts[np.concatenate((order[-1:], order, order[:1]))], axis=0)
+        turn = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+        length = np.hypot(e[:, 0], e[:, 1])
+        left = turn > EPS_ORTHO * length[:-1] * length[1:]
+        if left.all():
+            break
+        order = order[left]
+    return order
+
+
+def _wrap(X: np.ndarray, u: int, e: np.ndarray, n: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """Rotate the supporting plane with outward unit normal ``n`` about the
+    line through ``X[u]`` along the unit direction ``e`` (which lies in the
+    plane), toward ``m = e x n``, until it meets a point not on the line.
+    Returns the new outward unit normal and that point's index.
+
+    A point ``v = r m + s n`` (plus a part along e) off the line has angle
+    ``a = atan2(-s, r)`` about it, and the plane of normal ``cos t n +
+    sin t m`` supports it while t <= a, so the first point met has the
+    smallest angle; the normal then is ``(r n - s m) / |v x e|``, that is
+    ``v x e`` normalized."""
+    v = X - X[u]
+    r, s = v @ cross3(e, n), v @ n
+    off = r * r + s * s > tol * tol
+    if not off.any():
+        raise ValueError("polytope is not full-dimensional")
+    # points in the old plane behind the line have s = 0 up to round-off;
+    # clamping keeps their angle at pi rather than -pi
+    angle = np.where(off, np.arctan2(np.maximum(-s, 0.0), r), np.inf)
+    p = int(np.argmin(angle))
+    normal = cross3(v[p], e)
+    return normal / np.sqrt(normal @ normal), p
+
+
+def facet_normals(verts: np.ndarray) -> np.ndarray:
+    """Outward unit normals of the facets of the convex hull of the rows of
+    ``verts``, one per facet however many points it holds.
+
+    Gift wrapping (Chand & Kapur, 1970): the plane of smallest x is turned
+    about a line through its point and then about the line to the point it
+    meets, which gives the first facet.  Each facet's polygon (the
+    ``extreme_cycle`` of its points) gives the edges across which the next
+    facets are wrapped, one wrap per facet, so the work grows with the
+    number of points times the number of facets.  Points within
+    ``EPS_ORTHO`` times the body's radius of a facet's plane lie on it.
+    Raises ``ValueError`` for points that span no volume and for points
+    that are no hull vertex, as edge midpoints, face centres and interior
+    points are not."""
+    X = verts - verts.mean(axis=0)
+    tol = EPS_ORTHO * float(np.sqrt(np.einsum("ij,ij->i", X, X).max()))
+    a = int(np.lexsort(X.T[::-1])[0])
+    n, p = _wrap(X, a, np.array([0.0, 1.0, 0.0]), np.array([-1.0, 0.0, 0.0]), tol)
+    normals, corners, known = [], set(), set()
+    todo = [(a, p, n)]
+    while todo:
+        i, j, n = todo.pop()
+        if (j, i) in known:
+            continue  # the facet across this edge is known
+        e = X[j] - X[i]
+        e /= np.sqrt(e @ e)
+        n = _wrap(X, i, e, n, tol)[0]
+        height = X @ n
+        on = np.flatnonzero(height >= height.max() - tol)
+        if len(on) == len(X):
+            raise ValueError("polytope is not full-dimensional")
+        # the line lies in the new facet, so (e, n x e) is a right-handed
+        # chart of its plane: counterclockwise there is seen from outside
+        cycle = on[extreme_cycle(X[on] @ np.column_stack([e, cross3(n, e)]))].tolist()
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        if not known.isdisjoint(edges):
+            continue  # round-off led back to a known facet
+        known.update(edges)
+        corners.update(cycle)
+        normals.append(n)
+        todo += [(i, j, n) for i, j in edges]
+    if len(corners) != len(X):
+        raise ValueError("every listed vertex must be an extreme point")
+    return np.array(normals)
+
+
+# ---------------------------------------------------------------------------
 # convex bodies
 
 
@@ -309,16 +409,8 @@ class ConvexBody3:
             raise ValueError("polytope vertices must be an (n, 3) array")
         if len(verts) < 4:
             raise ValueError("a full-dimensional polytope needs at least 4 vertices")
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(verts)
-        except QhullError as exc:
-            raise ValueError("polytope is not full-dimensional") from exc
-        if len(hull.vertices) != len(verts):
-            raise ValueError("every listed vertex must be an extreme point")
-        normals = hull.equations[:, :3]
-        offsets = -hull.equations[:, 3]
+        normals = facet_normals(verts)
+        offsets = (verts @ normals.T).max(axis=0)
         return cls(
             kind="polytope",
             vertices=_freeze(verts),

@@ -85,10 +85,15 @@ def grid_candidates_dense(rays1, rays2, axis2, base, f1, f2, steps=720, max_rays
     from conekit.geom import rotation_matrix
 
     def decimate(rays):
+        # evenly spaced along the cycle from the ray nearest f1, in the
+        # frame where the grid is scored
         n = len(rays)
-        return rays if n <= max_rays else rays[np.unique((np.arange(max_rays) * n) // max_rays)]
+        if n <= max_rays:
+            return rays
+        start = int(np.argmax(rays @ f1))
+        return np.roll(rays, -start, axis=0)[np.unique((np.arange(max_rays) * n) // max_rays)]
 
-    P = decimate(rays1) @ base.T
+    P = decimate(rays1 @ base.T)
     Q = decimate(rays2)
     a, b, z = P @ f1, P @ f2, P @ axis2
     al, be, ze = Q @ f1, Q @ f2, Q @ axis2

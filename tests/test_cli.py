@@ -271,7 +271,7 @@ def test_negative_seed_exit_three(tmp_path, flags, capsys):
     assert "sampling seed must be an integer >= 0" in capsys.readouterr().err
 
 
-# its star (7 pairs) and the 6 pairs whose bounds straddle tol are
+# its star (7 pairs) and the 4 pairs whose bounds straddle tol are
 # registered in the pool
 NEAR_BALL_SCENE = {
     **BALL_SCENE,
@@ -281,7 +281,7 @@ NEAR_BALL_SCENE = {
 
 @pytest.mark.parametrize(
     "scene, registrations",
-    [(BALL_SCENE, 7), (CUBE_SCENE, 0), (NEAR_BALL_SCENE, 13)],
+    [(BALL_SCENE, 7), (CUBE_SCENE, 0), (NEAR_BALL_SCENE, 11)],
     ids=["ball", "cube", "near_ball"],
 )
 def test_verify_jobs_two_matches_serial(tmp_path, scene, registrations):

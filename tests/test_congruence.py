@@ -25,6 +25,12 @@ BALL = ConvexBody3.ball([0, 0, 0], 1.0)
 ELLIPSOID = ConvexBody3.ellipsoid([0, 0, 0], [2, 1, 1])
 
 
+def _rolled(cone: SupportCone, k: int) -> SupportCone:
+    """The same cone with its ray cycle started at ray k."""
+    return SupportCone(apex=cone.apex, rays=np.roll(cone.rays, -k, axis=0), is_sampled=cone.is_sampled,
+                       source_samples=cone.source_samples, witness=cone.witness)
+
+
 class TestProcrustes:
     def test_identity_recovery(self, rng):
         P = rng.standard_normal((10, 3))
@@ -136,6 +142,22 @@ class TestCongruenceDistance:
                     motion_image(random_motion(rng), c1), motion_image(random_motion(rng), c2)
                 ).distance
                 assert abs(d12 - d_moved) <= 1e-8, (m1, m2, d12, d_moved)
+
+    def test_rolling_rays_does_not_move_distance(self, rng):
+        # the cyclic order of a cone's rays has no distinguished start, so
+        # the distance must not depend on which ray is ray 0: the grid's ray
+        # subset starts at the ray nearest the tangent anchor
+        root = Path(__file__).resolve().parents[1]
+        pairs = [(random_cone(rng), random_cone(rng)) for _ in range(10)]
+        for path in ("scenes/ellipsoid_211_R5.json", "scenes/cube_R4.json",
+                     "perfbench/scenes/borderline_e1005_R3.json"):
+            _, cones = scene_cones(load_scene(root / path), indices=range(8))
+            pairs += list(zip(cones[:4], cones[4:]))
+        for c1, c2 in pairs:
+            d = congruence_distance(c1, c2).distance
+            for k1, k2 in ((int(rng.integers(1, len(c1.rays))), 0), (0, int(rng.integers(1, len(c2.rays))))):
+                rolled = congruence_distance(_rolled(c1, k1), _rolled(c2, k2)).distance
+                assert abs(rolled - d) <= 1e-10, (len(c1.rays), len(c2.rays), k1, k2, d, rolled)
 
     def test_grid_runs_once_per_pair(self, monkeypatch):
         import conekit.congruence as cg

@@ -178,13 +178,24 @@ class TestConvexBody:
     def test_polytope_requires_full_dimension(self):
         with pytest.raises(ValueError):
             ConvexBody3.polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="polytope is not full-dimensional"):
             ConvexBody3.polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        with pytest.raises(ValueError, match="polytope is not full-dimensional"):
+            ConvexBody3.polytope([[t, 2 * t, -t] for t in range(5)])
 
     def test_polytope_rejects_non_extreme_vertex(self):
         pts = [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [0.5, 0.5, 0.5]]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every listed vertex must be an extreme point"):
             ConvexBody3.polytope(pts)
+
+    @pytest.mark.parametrize("extra", [[0.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.3, -0.2, 1.0]])
+    def test_polytope_rejects_boundary_point_that_is_no_vertex(self, extra):
+        # an edge midpoint, a face centre and another point of a face lie on
+        # the hull but are not extreme
+        cube = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        for at in (0, 4, 8):
+            with pytest.raises(ValueError, match="every listed vertex must be an extreme point"):
+                ConvexBody3.polytope(cube[:at] + [extra] + cube[at:])
 
     def test_ball_and_ellipsoid_validation(self):
         with pytest.raises(ValueError):

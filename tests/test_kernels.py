@@ -28,6 +28,7 @@ from conekit.config import (
 )
 from conekit.cones import SupportCone, canonical_axis, support_cone
 from conekit.congruence import _aligned_frames, _grid_candidates, _icp_refine, _tangent_anchor
+from conekit.harness import load_scene, scene_cones
 from conekit.geom import ConvexBody3, PlaneFrame, RigidMotion, compose, cross3, hausdorff_distance
 from conekit.symmetry import case_split, detect_symmetries, is_right_circular
 from conftest import random_cone, random_orthogonal, random_rotation
@@ -172,17 +173,30 @@ def test_detect_symmetries_builds_plane_frames_only_on_read(monkeypatch):
         assert report.planes is planes and len(calls) == n_mirrors
 
 
-def test_cli_import_and_smooth_scene_load_import_no_scipy():
+def test_cli_verify_imports_no_scipy():
+    # one-shot verifies build every cone and, for the cube, the polytope's
+    # facets with numpy alone; scipy stays the salience LP's fallback
     code = (
         "import sys\n"
-        "from conekit.cli import load_scene\n"
-        "load_scene(sys.argv[1]); load_scene(sys.argv[2])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from conekit.cli import main\n"
+        "codes = [main(['verify', '--scene', s, '--out', sys.argv[1]]) for s in sys.argv[2:]]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(conekit.__file__).resolve().parents[1])
+    scenes = ["scenes/ball_r1_R3.json", "scenes/ellipsoid_211_R5.json", "scenes/cube_R4.json"]
     proc = subprocess.run(
-        [sys.executable, "-c", code, "scenes/ball_r1_R3.json", "scenes/ellipsoid_211_R5.json"],
+        [sys.executable, "-c", code, os.devnull, *scenes],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[0, 2, 2] []"
+
+
+def test_scene_cones_never_reach_the_salience_lp(monkeypatch):
+    # with scipy.optimize unimportable, the LP fallback would raise
+    # ImportError: every cone of the four scenes is certified by its hint
+    # or its mean direction
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    for scene in ("scenes/ball_r1_R3", "scenes/ellipsoid_211_R5", "scenes/cube_R4",
+                  "perfbench/scenes/borderline_e1005_R3"):
+        assert len(scene_cones(load_scene(ROOT / f"{scene}.json"))[1]) in (24, 50)
