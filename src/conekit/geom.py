@@ -28,6 +28,8 @@ __all__ = [
     "rotation_about_line",
     "reflection_in_plane",
     "hausdorff_distance",
+    "extreme_cycle",
+    "facet_normals",
     "rotation_matrix",
     "minimal_rotation",
     "orthonormal_basis",
